@@ -18,8 +18,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <memory>
-
 #include "BenchCommon.h"
 
 using namespace gengc;
@@ -113,15 +111,11 @@ void BM_MinorPauseMixedHeap(benchmark::State &State) {
 }
 BENCHMARK(BM_MinorPauseMixedHeap)->Unit(benchmark::kMicrosecond);
 
-// Worker sweep: the same full-collection pause at 1/2/4/8 scavenge
-// workers. The copy phase fans out across worker lanes; guardians,
-// weak pairs, and finalizers stay on the coordinator, so the floor is
-// the serial fixpoint. On a single-core host the >1 widths measure
-// pure coordination overhead (see EXPERIMENTS.md).
+// Full-collection pause over the same aged 256K-pair list: every pair
+// is copied once per iteration, so this is the serial Cheney copier's
+// throughput over an old generation.
 void BM_FullPauseMixedHeap(benchmark::State &State) {
-  HeapConfig Cfg = benchConfig();
-  Cfg.GcThreads = static_cast<unsigned>(State.range(0));
-  Heap H(Cfg);
+  Heap H(benchConfig());
   GcPauseRecorder Pauses(H);
   Root OldList(H, Value::nil());
   for (int64_t I = 0; I != 262144; ++I)
@@ -130,47 +124,9 @@ void BM_FullPauseMixedHeap(benchmark::State &State) {
   for (auto _ : State)
     H.collectFull();
   State.counters["old_pairs"] = benchmark::Counter(262144);
-  State.counters["gc_threads"] =
-      benchmark::Counter(static_cast<double>(H.gcThreads()));
   Pauses.addGcCounters(State);
 }
-BENCHMARK(BM_FullPauseMixedHeap)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
-
-// Work-stealing under deliberate imbalance: one root reaches a single
-// deep list (one worker's initial packet unfolds into almost all the
-// copy work) while the remaining roots hold a handful of shallow
-// pairs. Without stealing, one lane would copy everything while the
-// others idle; the publish-on-seal protocol lets finished workers pull
-// sealed runs of the big list instead. gc_parallel_steal_hits and
-// gc_parallel_imbalance are the counters to read.
-void BM_ParallelSweepImbalance(benchmark::State &State) {
-  HeapConfig Cfg = benchConfig();
-  Cfg.GcThreads = static_cast<unsigned>(State.range(0));
-  Heap H(Cfg);
-  GcPauseRecorder Pauses(H);
-  Root Deep(H, Value::nil());
-  for (int64_t I = 0; I != 131072; ++I)
-    Deep = H.cons(Value::fixnum(I), Deep.get());
-  std::vector<std::unique_ptr<Root>> Shallow;
-  for (int I = 0; I != 512; ++I)
-    Shallow.push_back(std::make_unique<Root>(
-        H, H.cons(Value::fixnum(I), Value::nil())));
-  ageHeapFully(H);
-  for (auto _ : State)
-    H.collectFull();
-  State.counters["deep_pairs"] = benchmark::Counter(131072);
-  State.counters["shallow_roots"] = benchmark::Counter(512);
-  Pauses.addGcCounters(State);
-}
-BENCHMARK(BM_ParallelSweepImbalance)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FullPauseMixedHeap)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

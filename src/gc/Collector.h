@@ -47,7 +47,6 @@
 
 namespace gengc {
 
-class ParallelScavenge;
 struct ScopedGeneration;
 
 class Collector {
@@ -66,12 +65,6 @@ public:
   void runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out);
 
 private:
-  /// The parallel scavenge reuses the serial scan/sweep helpers on
-  /// worker threads by redirecting forward() and maybeReRemember()
-  /// through Par while the worker fixpoint runs (see
-  /// gc/ParallelScavenge.h).
-  friend class ParallelScavenge;
-
   /// Position within a SpaceContext's run list, in allocation order.
   struct SweepCursor {
     size_t RunIndex = 0;
@@ -167,8 +160,7 @@ private:
   /// Ordinary collections with scopes open treat every scope object as
   /// an uncollected root container: one full scan of each open scope's
   /// contexts, forwarding strong fields (weak cars are left for
-  /// scopeWeakContextPass). Runs in the Roots phase; scopes force the
-  /// serial path, so no worker coordination is needed.
+  /// scopeWeakContextPass). Runs in the Roots phase.
   void scanOpenScopes();
   /// Weak-car pass over every open scope's weak-pair context (their cars
   /// may point into the collected generations).
@@ -203,10 +195,6 @@ private:
   /// Enclosing scope survivors graduate into; null when the closing
   /// scope is outermost (survivors go to the ordinary generation 0).
   ScopedGeneration *TargetScope = nullptr;
-  /// Non-null only while a parallel scavenge's worker fixpoint runs;
-  /// forward() and maybeReRemember() redirect through it so the serial
-  /// sweep helpers above work unchanged on GC worker threads.
-  ParallelScavenge *Par = nullptr;
 
   std::vector<SegmentRun> FromRuns[NumSpaces];
   /// From-space runs that live in the exchange arena rather than the

@@ -49,9 +49,7 @@
 namespace gengc {
 
 class Collector;
-class GcWorkerPool;
 class NoGcScope;
-class ParallelScavenge;
 class RootVector;
 class SharedImmutableSpace;
 struct DonatedGraph;
@@ -383,17 +381,6 @@ public:
   const GcTotals &totals() const { return Totals; }
   uint64_t collectionCount() const { return Totals.Collections; }
 
-  /// Parallel-scavenge width for this heap: HeapConfig::GcThreads
-  /// resolved against GENGC_GC_THREADS and the hardware at
-  /// construction, clamped to [1, HeapConfig::MaxGcThreads]. 1 means
-  /// every collection runs the exact serial path.
-  unsigned gcThreads() const { return GcThreadsResolved; }
-
-  /// Test hook: runs \p Fn synchronously on a GC worker-pool thread
-  /// (never the heap owner). Lets tests prove the owner-affinity check
-  /// still rejects mutator access from GC workers.
-  void runOnGcWorker(const std::function<void()> &Fn);
-
   //===------------------------------------------------------------------===//
   // Observability (gc/telemetry/).
   //===------------------------------------------------------------------===//
@@ -522,7 +509,6 @@ public:
 private:
   friend class Collector;
   friend class NoGcScope;
-  friend class ParallelScavenge;
   friend class RootVector;
   friend struct ScopedGeneration;
 
@@ -566,10 +552,6 @@ private:
   /// and the calling thread is not the heap's owner.
   void checkOwner(const char *Op) const;
 
-  /// The persistent GC worker pool backing parallel scavenges, created
-  /// on first use (a GcThreads == 1 heap never spawns a thread).
-  GcWorkerPool &gcWorkerPool();
-
   /// Write barrier for a store of \p V into \p Container. \p WeakField
   /// marks stores into a weak pair's car, which go to the weak remembered
   /// set (the pointer is weak, so it is not a root, but the collector
@@ -602,10 +584,6 @@ private:
   Arena Segments;
   /// The exchange domain (never null after construction).
   SharedImmutableSpace *Exchange = nullptr;
-  /// Resolved parallel-scavenge width (gcThreads()).
-  unsigned GcThreadsResolved = 1;
-  /// Lazily-created worker threads (gcWorkerPool()).
-  std::unique_ptr<GcWorkerPool> GcWorkers;
   /// Allocation contexts, indexed by space, generation, and tenure age.
   /// Mutator allocation uses age 0; the collector copies survivors into
   /// age Age+1 of the same generation until the tenure policy promotes

@@ -115,17 +115,6 @@ void gengc::emitChromeTraceEvent(std::ostream &OS, const GcEvent &E,
                   static_cast<unsigned>(E.Generation));
     OS << Buf;
     break;
-  case GcEventType::GcWorkerSpan:
-    openRecord(OS, "gc-worker", "gc-parallel", "X", micros(Time), Pid,
-               Tid);
-    std::snprintf(Buf, sizeof(Buf),
-                  ",\"dur\":%.3f,\"args\":{\"collection\":%" PRIu32
-                  ",\"worker\":%u,\"bytes_copied\":%" PRIu64
-                  ",\"steal_hits\":%" PRIu64 "}}",
-                  micros(E.DurNanos), E.Collection,
-                  static_cast<unsigned>(E.Detail), E.A, E.B);
-    OS << Buf;
-    break;
   case GcEventType::MessageSend:
   case GcEventType::MessageReceive:
     openRecord(OS,

@@ -143,11 +143,12 @@ public:
   /// Allocates a run of \p NumSegments contiguous segments, tagging each
   /// with \p Space and \p Generation. Returns the index of the first
   /// segment. Aborts if the arena is exhausted (the reservation is the
-  /// heap-size limit). Thread-safe: GC workers of a parallel scavenge
-  /// grab fresh to-space runs concurrently, so the free list, the
-  /// affected SegmentInfo entries, and the observer callback are all
-  /// updated under one internal lock (runs, not objects — the
-  /// allocation fast path never comes here).
+  /// heap-size limit). Thread-safe: the process-wide exchange arena
+  /// (heap/SharedImmutableSpace.h) is allocated from and freed to by
+  /// every shard thread that donates, so the free list, the affected
+  /// SegmentInfo entries, and the observer callback are all updated
+  /// under one internal lock (runs, not objects — the allocation fast
+  /// path never comes here).
   /// \p ExtraFlags is OR'd into every segment's flags beyond FlagInUse —
   /// FlagShared for shared-immutable runs, FlagDonated for donation runs.
   uint32_t allocateRun(uint32_t NumSegments, SpaceKind Space,
@@ -203,7 +204,9 @@ private:
   };
 
   /// Serializes allocateRun/freeRun (free list + SegmentInfo tagging +
-  /// observer). Never contended outside a parallel scavenge.
+  /// observer). A heap's private arena only ever takes it from the
+  /// owner thread; the shared exchange arena is contended by concurrent
+  /// donations and by the collections that free adopted runs.
   std::mutex RunLock;
   uintptr_t Base = 0;
   size_t TotalSegments = 0;

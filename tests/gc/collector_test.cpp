@@ -207,6 +207,26 @@ TEST(CollectorTest, StatsReportGenerations) {
   EXPECT_EQ(H.totals().Collections, 2u);
 }
 
+TEST(CollectorTest, SerialWidthReportsOneWorker) {
+  // The copier is serial. The benchmark's pause log still reads the
+  // width fields, so every collection must report the one-worker values.
+  Heap H(testConfig());
+  Root L(H, Value::nil());
+  for (int I = 0; I != 1000; ++I)
+    L = H.cons(Value::fixnum(I), L.get());
+  for (bool Full : {false, true}) {
+    if (Full)
+      H.collectFull();
+    else
+      H.collectMinor();
+    const GcStats &S = H.lastStats();
+    EXPECT_GT(S.BytesCopied, 0u);
+    EXPECT_EQ(S.GcWorkersUsed, 1u);
+    EXPECT_EQ(S.StealHits, 0u);
+    EXPECT_DOUBLE_EQ(S.workerImbalanceRatio(), 1.0);
+  }
+}
+
 TEST(CollectorTest, SegmentsAreRecycled) {
   Heap H(testConfig());
   for (int Round = 0; Round != 20; ++Round) {

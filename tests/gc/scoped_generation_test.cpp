@@ -406,8 +406,11 @@ TEST(ScopeDonationTest, OutboundEdgeVetoesWholesaleClose) {
   DonatedGraph G = H.tryCloseScopeDonating(Inner);
   EXPECT_TRUE(G.empty());
   EXPECT_EQ(H.scopeDepth(), 1u);
+  // Rooted only now: a root into the scope would itself veto the
+  // handover above. The fallback close must graduate the survivor.
+  Root Survivor(H, Inner);
   H.closeScope();
-  EXPECT_EQ(pairCar(pairCdr(Inner)).asFixnum(), 9)
+  EXPECT_EQ(pairCar(pairCdr(Survivor.get())).asFixnum(), 9)
       << "fallback close still graduates the survivor intact";
   H.verifyHeap();
 }

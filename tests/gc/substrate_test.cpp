@@ -13,7 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <deque>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 using namespace gengc;
 
@@ -155,6 +160,48 @@ TEST(ArenaTest, FirstFitReusesFreedSpace) {
   A.freeRun(R1, 2);
   uint32_t R3 = A.allocateRun(1, SpaceKind::Typed, 0);
   EXPECT_EQ(R3, R1) << "first fit should reuse the earliest hole";
+}
+
+TEST(ArenaTest, ConcurrentRunTrafficNeverSharesASegment) {
+  // The process-wide exchange arena is allocated from and freed to by
+  // every donating shard thread at once. Each thread claims the
+  // segments it is handed in an owner table; a failed claim means the
+  // arena handed one segment to two threads.
+  Arena A(16 * 1024 * 1024);
+  std::vector<std::atomic<unsigned>> Owner(A.totalSegments());
+  std::atomic<unsigned> DoubleHandouts{0};
+  constexpr unsigned Threads = 4;
+  std::vector<std::thread> Workers;
+  for (unsigned T = 1; T <= Threads; ++T)
+    Workers.emplace_back([&, T] {
+      XorShift R(T);
+      std::deque<std::pair<uint32_t, uint32_t>> Held;
+      auto Release = [&] {
+        auto [First, Count] = Held.front();
+        Held.pop_front();
+        for (uint32_t S = First; S != First + Count; ++S)
+          Owner[S].store(0);
+        A.freeRun(First, Count);
+      };
+      for (int I = 0; I != 5000; ++I) {
+        const uint32_t Count = 1 + static_cast<uint32_t>(R.nextBelow(4));
+        const uint32_t First = A.allocateRun(Count, SpaceKind::Pair, 0);
+        for (uint32_t S = First; S != First + Count; ++S) {
+          unsigned Free = 0;
+          if (!Owner[S].compare_exchange_strong(Free, T))
+            ++DoubleHandouts;
+        }
+        Held.emplace_back(First, Count);
+        if (Held.size() > 8)
+          Release();
+      }
+      while (!Held.empty())
+        Release();
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(DoubleHandouts.load(), 0u);
+  EXPECT_EQ(A.segmentsInUse(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

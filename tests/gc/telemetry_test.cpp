@@ -537,10 +537,6 @@ TEST(GcTotalsTest, AccumulateCoversEveryField) {
   S.DurationNanos = 73;
   S.BarriersExecuted = 79;
   S.BarriersElided = 83;
-  S.GcWorkersUsed = 89;
-  S.StealAttempts = 97;
-  S.StealHits = 101;
-  S.MaxWorkerBytesCopied = 103;
   for (unsigned I = 0; I != NumGcPhases; ++I)
     S.Phases.Nanos[I] = 100 + I;
 
@@ -569,13 +565,6 @@ TEST(GcTotalsTest, AccumulateCoversEveryField) {
   EXPECT_EQ(T.DurationNanos, 2 * S.DurationNanos);
   EXPECT_EQ(T.BarriersExecuted, 2 * S.BarriersExecuted);
   EXPECT_EQ(T.BarriersElided, 2 * S.BarriersElided);
-  // Parallel counters: worker width and per-worker-max are high-water
-  // marks (not sums), so accumulating twice leaves them unchanged;
-  // steal traffic accumulates like everything else.
-  EXPECT_EQ(T.GcWorkersUsed, S.GcWorkersUsed);
-  EXPECT_EQ(T.MaxWorkerBytesCopied, S.MaxWorkerBytesCopied);
-  EXPECT_EQ(T.StealAttempts, 2 * S.StealAttempts);
-  EXPECT_EQ(T.StealHits, 2 * S.StealHits);
   for (unsigned I = 0; I != NumGcPhases; ++I)
     EXPECT_EQ(T.Phases.Nanos[I], 2 * S.Phases.Nanos[I]);
 

@@ -477,10 +477,6 @@ TEST(AggregateTest, MergeCoversEveryTotalsField) {
   S.DurationNanos = 18;
   S.BarriersExecuted = 19;
   S.BarriersElided = 20;
-  S.GcWorkersUsed = 21;
-  S.StealAttempts = 22;
-  S.StealHits = 23;
-  S.MaxWorkerBytesCopied = 24;
   for (unsigned I = 0; I != NumGcPhases; ++I)
     S.Phases.Nanos[I] = 100 + I;
 
@@ -511,12 +507,6 @@ TEST(AggregateTest, MergeCoversEveryTotalsField) {
   EXPECT_EQ(Two.DurationNanos, 2 * One.DurationNanos);
   EXPECT_EQ(Two.BarriersExecuted, 2 * One.BarriersExecuted);
   EXPECT_EQ(Two.BarriersElided, 2 * One.BarriersElided);
-  // Worker width and per-worker-max merge as high-water marks; steal
-  // counters sum across shards.
-  EXPECT_EQ(Two.GcWorkersUsed, One.GcWorkersUsed);
-  EXPECT_EQ(Two.MaxWorkerBytesCopied, One.MaxWorkerBytesCopied);
-  EXPECT_EQ(Two.StealAttempts, 2 * One.StealAttempts);
-  EXPECT_EQ(Two.StealHits, 2 * One.StealHits);
   for (unsigned I = 0; I != NumGcPhases; ++I)
     EXPECT_EQ(Two.Phases.Nanos[I], 2 * One.Phases.Nanos[I]) << "phase " << I;
 }

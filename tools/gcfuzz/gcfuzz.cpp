@@ -17,9 +17,6 @@
 //                                        caught; exercises the oracle)
 //   gcfuzz --elide on|off                force barrier elision on/off for
 //                                        the trace heaps
-//   gcfuzz --gc-threads N                force the scavenge worker width
-//                                        (the model is schedule-blind, so
-//                                        any width must match it exactly)
 //   gcfuzz --scoped on                   extend the trace alphabet with
 //                                        scope-open / scope-close /
 //                                        alloc-in-scope (request-scoped
@@ -73,7 +70,6 @@ struct Options {
   bool Scoped = false; ///< Scoped trace alphabet / scoped vm-diff programs.
   bool Donation = false; ///< Donation trace alphabet (implies scoped ops).
   uint64_t VmDiff = 0; ///< Number of vm-diff programs (0 = off).
-  int GcThreads = -1; ///< -1 = leave configs alone; else force this width.
 };
 
 void usage() {
@@ -85,7 +81,7 @@ void usage() {
       "leak-donated-segment]\n"
       "              [--elide on|off] [--scoped on|off] [--donation "
       "on|off]\n"
-      "              [--gc-threads N] [--vm-diff N] [--seed-corpus]\n"
+      "              [--vm-diff N] [--seed-corpus]\n"
       "              [--trace-replay FILE] [--out DIR] [--no-shrink]\n"
       "configs (--config):");
   // Enumerate the live config list so this help text cannot drift from
@@ -405,13 +401,10 @@ struct VmRun {
   uint64_t BarriersElided = 0;
 };
 
-VmRun runVmProgram(const std::vector<std::string> &Forms, bool Elide,
-                   int GcThreads) {
+VmRun runVmProgram(const std::vector<std::string> &Forms, bool Elide) {
   HeapConfig Cfg;
   Cfg.ArenaBytes = 64u * 1024 * 1024;
   Cfg.ElideBarriers = Elide;
-  if (GcThreads > 0)
-    Cfg.GcThreads = static_cast<unsigned>(GcThreads);
   // Always verify: an unsound claim must abort here, in the fuzzer,
   // not survive into a divergence report that is hard to attribute.
   Cfg.VerifyElision = true;
@@ -444,8 +437,8 @@ int runVmDiff(const Options &Opt) {
     if (std::getenv("GCFUZZ_VM_DUMP"))
       for (const std::string &F : Forms)
         std::fprintf(stderr, "%s\n", F.c_str());
-    VmRun On = runVmProgram(Forms, /*Elide=*/true, Opt.GcThreads);
-    VmRun Off = runVmProgram(Forms, /*Elide=*/false, Opt.GcThreads);
+    VmRun On = runVmProgram(Forms, /*Elide=*/true);
+    VmRun Off = runVmProgram(Forms, /*Elide=*/false);
     if (On.Output != Off.Output) {
       std::fprintf(stderr,
                    "gcfuzz: VM DIVERGENCE (seed %llu): elision changed "
@@ -582,14 +575,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       Opt.Donation = V == "on";
-    } else if (A == "--gc-threads") {
-      Opt.GcThreads = static_cast<int>(std::strtol(next(), nullptr, 0));
-      if (Opt.GcThreads < 1 ||
-          Opt.GcThreads > static_cast<int>(HeapConfig::MaxGcThreads)) {
-        std::fprintf(stderr, "gcfuzz: --gc-threads takes 1..%u\n",
-                     HeapConfig::MaxGcThreads);
-        return 2;
-      }
     } else if (A == "--vm-diff") {
       Opt.VmDiff = std::strtoull(next(), nullptr, 0);
     } else if (A == "--help" || A == "-h") {
@@ -614,8 +599,6 @@ int main(int Argc, char **Argv) {
     }
     if (!Opt.Elide.empty())
       C.Config.ElideBarriers = Opt.Elide == "on";
-    if (Opt.GcThreads > 0)
-      C.Config.GcThreads = static_cast<unsigned>(Opt.GcThreads);
   }
 
   if (!Opt.ReplayFile.empty())

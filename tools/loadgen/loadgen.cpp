@@ -16,10 +16,11 @@
 ///
 /// At exit the driver audits the books: every port opened was closed,
 /// every external block allocated was freed, every pool bitmap is
-/// accounted for (created == finalized + free-listed), and nothing was
-/// quarantined unexpectedly. Any discrepancy is a nonzero exit — this
-/// binary doubles as the runtime's end-to-end accounting test and as
-/// the shard-scaling benchmark (scripts/bench.sh --loadgen).
+/// accounted for (created == finalized + free-listed), every attempted
+/// op was timed, and nothing was quarantined unexpectedly. Any
+/// discrepancy is a nonzero exit — this binary doubles as the
+/// runtime's end-to-end accounting test and as the shard-scaling
+/// benchmark (scripts/bench.sh --loadgen).
 ///
 ///   loadgen --shards 8 --sessions 16 --ops 300 --seed 7
 ///           --think-time-us 200 --fail-rate 5 --json out.json
@@ -84,7 +85,6 @@ struct Options {
   uint64_t Seed = 1;
   unsigned ThinkTimeUs = 0; ///< Sleep per session (open-loop clients).
   unsigned FailRatePct = 0; ///< Transient ticket-failure injection.
-  unsigned GcThreads = 0;   ///< Scavenge workers per shard heap (0=auto).
   bool Scoped = false;      ///< Run each session inside a request scope.
   size_t PayloadBytes = 0;  ///< Bulk payload attached to each message.
   bool Donate = false;      ///< Enable zero-copy segment donation sends.
@@ -98,7 +98,7 @@ void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--shards N] [--sessions N] [--ops N] [--seed N]\n"
                "          [--think-time-us N] [--fail-rate PCT]\n"
-               "          [--gc-threads N] [--scoped] [--json PATH]\n"
+               "          [--scoped] [--json PATH]\n"
                "          [--payload-bytes N] [--donate on|off]\n"
                "          [--trace PATH] [--profile PATH]\n"
                "          [--slo-max-pause-us N] [--slo-pause-p99-us N]\n"
@@ -128,8 +128,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
       Opt.ThinkTimeUs = static_cast<unsigned>(V);
     else if (Arg == "--fail-rate" && NextInt(V))
       Opt.FailRatePct = static_cast<unsigned>(V);
-    else if (Arg == "--gc-threads" && NextInt(V))
-      Opt.GcThreads = static_cast<unsigned>(V);
     else if (Arg == "--scoped")
       Opt.Scoped = true;
     else if (Arg == "--payload-bytes" && NextInt(V))
@@ -285,6 +283,92 @@ struct World : ShardLocal {
     }
   }
 
+  /// One session operation, picked by a roll. A refused operation
+  /// (external memory exhausted, pool empty, no peer to send to) returns
+  /// early but still counts as an attempted op.
+  void runOp(size_t Mark) {
+    // Ordinary mutator churn alongside the guarded resources: a
+    // short-lived list per op, dead by the next iteration, so the
+    // generational collector runs for real under the session load.
+    {
+      Root Junk(H, Value::nil());
+      for (unsigned K = 0; K != 8; ++K)
+        Junk = H.cons(Value::fixnum(static_cast<intptr_t>(K)), Junk.get());
+    }
+    uint64_t Roll = next() % 100;
+    if (Roll < 25) { // Ports: open, write, then close explicitly or drop.
+      intptr_t Id = Env.Ports.openOutput("/s" + std::to_string(Self.id()) +
+                                         "/f" + std::to_string(next() % 64));
+      Root Handle(H, H.makePortHandle(
+                         Id, static_cast<intptr_t>(PortKind::Output)));
+      PortG.protect(Handle);
+      ++C.PortsOpened;
+      for (unsigned K = 0; K != 16; ++K)
+        Env.Ports.writeChar(Id, static_cast<char>('a' + K));
+      if (next() % 2) {
+        Env.Ports.close(Id); // The later ticket sees it closed: fine.
+        ++C.ExplicitCloses;
+      } else {
+        Held.push_back(Handle); // Dropped when the session ends.
+      }
+    } else if (Roll < 45) { // External memory blocks.
+      intptr_t Id = static_cast<intptr_t>(
+          Env.ExtMgr.allocate(64 + next() % 512));
+      if (Id < 0)
+        return; // Exhausted/shut down; counted by the manager.
+      Root Header(H, H.makeRecord(H.intern("external-block"), 2,
+                                  Value::fixnum(Id)));
+      ExtG.protect(Header);
+      ++C.ExtAllocs;
+      if (next() % 4 == 0) {
+        Env.ExtMgr.free(Id); // Early free; ticket's freeIfLive skips it.
+        ++C.ExtExplicitFrees;
+      } else if (next() % 2) {
+        Held.push_back(Header);
+      }
+    } else if (Roll < 65) { // Pool bitmaps.
+      Root Bitmap(H, Pool.acquire());
+      if (Bitmap.get().isFalse()) {
+        ++C.PoolExhaustions;
+        Pool.refillFreeList();
+        return;
+      }
+      ++C.PoolAcquires;
+      if (next() % 2)
+        Pool.release(Bitmap);
+      else
+        Held.push_back(Bitmap);
+    } else if (Roll < 85) { // Guarded hash table churn.
+      Root Key(H, Value::fixnum(static_cast<intptr_t>(next() % 2048)));
+      Table.access(Key, Value::fixnum(static_cast<intptr_t>(C.Ops)));
+      ++C.TableAccesses;
+    } else if (Roll < 95) { // Cross-shard message.
+      if (Opt.Shards < 2)
+        return;
+      size_t To = next() % Opt.Shards;
+      if (To == Self.id())
+        To = (To + 1) % Opt.Shards;
+      Root Msg(H, H.makeRecord(H.intern("session-msg"), 2,
+                               Value::fixnum(static_cast<intptr_t>(
+                                   next() % 4096))));
+      if (Opt.PayloadBytes) {
+        // Bulk payload: a fixnum list sized to --payload-bytes (one
+        // pair is two words), so the transfer path sees graphs on
+        // either side of the donation threshold.
+        const size_t Cells = Opt.PayloadBytes / (2 * sizeof(uintptr_t));
+        for (size_t P = 0; P != Cells; ++P)
+          Msg = H.cons(Value::fixnum(static_cast<intptr_t>(P)), Msg.get());
+      }
+      if (Self.sendValue(Self.peer(To), Msg))
+        ++C.MessagesSent;
+      else
+        ++C.SendsRefused; // Inbox full: backpressure, drop and go on.
+    } else { // Drop half of what the session holds.
+      size_t Keep = Held.size() - (Held.size() - Mark) / 2;
+      Held.truncate(Keep);
+    }
+  }
+
   void runSession() {
     // --scoped: the whole session runs inside one request extent. Ops
     // allocate into the scope's private nursery; whatever escapes into
@@ -300,93 +384,15 @@ struct World : ShardLocal {
     for (size_t Op = 0; Op != Opt.Ops; ++Op) {
       ++C.Ops;
       const auto OpStart = std::chrono::steady_clock::now();
-      // Ordinary mutator churn alongside the guarded resources: a
-      // short-lived list per op, dead by the next iteration, so the
-      // generational collector runs for real under the session load.
-      {
-        Root Junk(H, Value::nil());
-        for (unsigned K = 0; K != 8; ++K)
-          Junk = H.cons(Value::fixnum(static_cast<intptr_t>(K)), Junk.get());
-      }
-      uint64_t Roll = next() % 100;
-      if (Roll < 25) { // Ports: open, write, then close explicitly or drop.
-        intptr_t Id = Env.Ports.openOutput("/s" + std::to_string(Self.id()) +
-                                           "/f" + std::to_string(next() % 64));
-        Root Handle(H, H.makePortHandle(
-                           Id, static_cast<intptr_t>(PortKind::Output)));
-        PortG.protect(Handle);
-        ++C.PortsOpened;
-        for (unsigned K = 0; K != 16; ++K)
-          Env.Ports.writeChar(Id, static_cast<char>('a' + K));
-        if (next() % 2) {
-          Env.Ports.close(Id); // The later ticket sees it closed: fine.
-          ++C.ExplicitCloses;
-        } else {
-          Held.push_back(Handle); // Dropped when the session ends.
-        }
-      } else if (Roll < 45) { // External memory blocks.
-        intptr_t Id = static_cast<intptr_t>(
-            Env.ExtMgr.allocate(64 + next() % 512));
-        if (Id < 0)
-          continue; // Exhausted/shut down; counted by the manager.
-        Root Header(H, H.makeRecord(H.intern("external-block"), 2,
-                                    Value::fixnum(Id)));
-        ExtG.protect(Header);
-        ++C.ExtAllocs;
-        if (next() % 4 == 0) {
-          Env.ExtMgr.free(Id); // Early free; ticket's freeIfLive skips it.
-          ++C.ExtExplicitFrees;
-        } else if (next() % 2) {
-          Held.push_back(Header);
-        }
-      } else if (Roll < 65) { // Pool bitmaps.
-        Root Bitmap(H, Pool.acquire());
-        if (Bitmap.get().isFalse()) {
-          ++C.PoolExhaustions;
-          Pool.refillFreeList();
-          continue;
-        }
-        ++C.PoolAcquires;
-        if (next() % 2)
-          Pool.release(Bitmap);
-        else
-          Held.push_back(Bitmap);
-      } else if (Roll < 85) { // Guarded hash table churn.
-        Root Key(H, Value::fixnum(static_cast<intptr_t>(next() % 2048)));
-        Table.access(Key, Value::fixnum(static_cast<intptr_t>(C.Ops)));
-        ++C.TableAccesses;
-      } else if (Roll < 95) { // Cross-shard message.
-        if (Opt.Shards < 2)
-          continue;
-        size_t To = next() % Opt.Shards;
-        if (To == Self.id())
-          To = (To + 1) % Opt.Shards;
-        Root Msg(H, H.makeRecord(H.intern("session-msg"), 2,
-                                 Value::fixnum(static_cast<intptr_t>(
-                                     next() % 4096))));
-        if (Opt.PayloadBytes) {
-          // Bulk payload: a fixnum list sized to --payload-bytes (one
-          // pair is two words), so the transfer path sees graphs on
-          // either side of the donation threshold.
-          const size_t Cells = Opt.PayloadBytes / (2 * sizeof(uintptr_t));
-          for (size_t P = 0; P != Cells; ++P)
-            Msg = H.cons(Value::fixnum(static_cast<intptr_t>(P)), Msg.get());
-        }
-        if (Self.sendValue(Self.peer(To), Msg))
-          ++C.MessagesSent;
-        else
-          ++C.SendsRefused; // Inbox full: backpressure, drop and go on.
-      } else { // Drop half of what the session holds.
-        size_t Keep = Held.size() - (Held.size() - Mark) / 2;
-        Held.truncate(Keep);
-      }
+      runOp(Mark);
       if (Op % 32 == 31) {
         drainToExecutor();
         Self.pumpInbox();
       }
       // An "op" is one full loop body including its safepoint work, so
       // the latency distribution shows GC pauses where clients feel
-      // them, not just where the collector measures them.
+      // them, not just where the collector measures them. Refused ops
+      // are recorded too: the count must equal the ops attempted.
       Env.OpLatency.record(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - OpStart)
@@ -443,9 +449,6 @@ int main(int Argc, char **Argv) {
   // generational machinery (and its pauses) actually exercise under
   // load instead of deferring everything to the shutdown collections.
   Cfg.HeapCfg.Gen0CollectBytes = 64u * 1024;
-  // Per-shard scavenge worker width; each shard heap gets its own pool,
-  // so total GC threads is Shards * GcThreads when forced above 1.
-  Cfg.HeapCfg.GcThreads = Opt.GcThreads;
   // Zero-copy donation: any message graph of at least one segment's worth
   // of payload is donated instead of deep-copied (0 keeps donation off,
   // which is the deep-copy A leg of a --donate A/B pair).
@@ -556,6 +559,16 @@ int main(int Argc, char **Argv) {
             ") != submitted (" + std::to_string(ES.Submitted) + ")");
   if (Opt.FailRatePct > 0)
     Audit(ES.Retried > 0, "fail injection produced no retries");
+  // Every attempted op, refused ones included, lands in the latency
+  // recorder, so latency_op_count is the op count of the run.
+  uint64_t OpsRecorded = 0;
+  for (const auto &Env : Envs)
+    OpsRecorded += Env->OpLatency.count();
+  const uint64_t OpsExpected = Opt.Shards * Opt.Sessions * Opt.Ops;
+  Audit(OpsRecorded == OpsExpected,
+        "latency recorded " + std::to_string(OpsRecorded) +
+            " ops, expected shards x sessions x ops = " +
+            std::to_string(OpsExpected));
 
   //===--- Reporting ------------------------------------------------------===//
 
