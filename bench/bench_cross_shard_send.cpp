@@ -3,28 +3,25 @@
 // Part of the gengc project: a reproduction of "Guardians in a
 // Generation-Based Garbage Collector" (Dybvig, Bruggeman, Eby, PLDI 1993).
 //
-// T1 -- zero-copy inter-shard transfer: the deep-copy transport encodes
-// and decodes every node of the payload (two full traversals plus two
-// full copies), donateGraph evacuates once and the receiver adopts by
-// retagging (one copy), and a payload built inside a donation scope is
-// donated wholesale at close — zero copies, O(segments) on both sides.
+// T1 -- zero-copy inter-shard transfer: donateGraph evacuates the
+// payload once and the receiver adopts by retagging (one copy), and a
+// payload built inside a donation scope is donated wholesale at close —
+// zero copies, O(segments) on both sides.
 //
 // Series: the transfer operation (send + receive) of an N-byte pair
 // list, manually timed so payload construction and receiver reclamation
 // stay out of the measurement, N swept from one segment (4 KiB) to
-// 1 MiB, once per transfer mechanism. The headline claim (DESIGN.md
-// §14) is wholesale donation >= 10x deep copy at 64 KiB and above.
+// 1 MiB, once per way of building the payload. EXPERIMENTS.md (T1) keeps
+// the retired deep-copy transport's numbers for comparison.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "heap/SharedImmutableSpace.h"
-#include "runtime/SegmentTransfer.h"
 
 #include <chrono>
 
 using namespace gengc;
-using namespace gengc::runtime;
 
 namespace {
 
@@ -32,16 +29,14 @@ namespace {
 /// arena — the transfer protocol without the shard runtime's threads and
 /// mailboxes around it, so the timing isolates the mechanism itself.
 struct TransferPair {
-  explicit TransferPair(size_t DonationThreshold)
+  TransferPair()
       : Exchange(256u * 1024 * 1024),
-        Sender(withExchange(benchConfig(), Exchange, DonationThreshold)),
-        Receiver(withExchange(benchConfig(), Exchange, 0)),
+        Sender(withExchange(benchConfig(), Exchange)),
+        Receiver(withExchange(benchConfig(), Exchange)),
         Payload(Sender, Value::nil()) {}
 
-  static HeapConfig withExchange(HeapConfig C, SharedImmutableSpace &X,
-                                 size_t Threshold) {
+  static HeapConfig withExchange(HeapConfig C, SharedImmutableSpace &X) {
     C.Exchange = &X;
-    C.DonationThresholdBytes = Threshold;
     return C;
   }
 
@@ -57,8 +52,8 @@ struct TransferPair {
     return L;
   }
 
-  /// Reclaims what the receiver accumulated (decoded copies and adopted
-  /// donation segments); called outside the timed region.
+  /// Reclaims what the receiver accumulated (adopted donation
+  /// segments); called outside the timed region.
   void drainReceiver() {
     Receiver.collectFull();
     Receiver.collectFull();
@@ -83,44 +78,17 @@ void addThroughputCounters(benchmark::State &State) {
       benchmark::Counter(static_cast<double>(State.range(0)));
 }
 
-void BM_CrossShardSendDeepCopy(benchmark::State &State) {
-  TransferPair P(/*DonationThreshold=*/0); // 0 = donation off.
-  P.Payload = P.buildPayload(State.range(0));
-  int SinceDrain = 0;
-  for (auto _ : State) {
-    const auto T0 = BenchClock::now();
-    PinnedMessage Msg;
-    const bool Ok = encodeMessage(P.Sender, P.Payload.get(), Msg);
-    GENGC_ASSERT(Ok, "pair list must be transferable");
-    benchmark::DoNotOptimize(receiveTransfer(P.Receiver, Msg));
-    timeIteration(State, T0);
-    if (++SinceDrain == 16) {
-      P.drainReceiver();
-      SinceDrain = 0;
-    }
-  }
-  addThroughputCounters(State);
-}
-BENCHMARK(BM_CrossShardSendDeepCopy)
-    ->RangeMultiplier(4)
-    ->Range(4096, 1 << 20)
-    ->UseManualTime()
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_CrossShardSendDonate(benchmark::State &State) {
-  TransferPair P(/*DonationThreshold=*/1); // Everything donates.
+  TransferPair P;
   P.Payload = P.buildPayload(State.range(0));
   uint64_t DonatedSegments = 0, ZeroCopyBytes = 0;
   int SinceDrain = 0;
   for (auto _ : State) {
     const auto T0 = BenchClock::now();
-    const TransferPlan Plan = planTransfer(P.Sender, P.Payload.get());
-    GENGC_ASSERT(Plan.Donate, "payload must qualify for donation");
-    PinnedMessage Msg;
-    buildDonationMessage(P.Sender, P.Payload.get(), Msg);
-    DonatedSegments += Msg.Donated->segmentCount();
-    ZeroCopyBytes += Msg.Donated->Bytes;
-    benchmark::DoNotOptimize(receiveTransfer(P.Receiver, Msg));
+    DonatedGraph G = P.Sender.donateGraph(P.Payload.get());
+    DonatedSegments += G.segmentCount();
+    ZeroCopyBytes += G.Bytes;
+    benchmark::DoNotOptimize(P.Receiver.adoptDonatedGraph(G));
     timeIteration(State, T0);
     if (++SinceDrain == 16) {
       P.drainReceiver();
@@ -147,7 +115,7 @@ BENCHMARK(BM_CrossShardSendDonate)
 // builds its reply either way; the mechanisms differ only in what the
 // send itself costs.
 void BM_CrossShardSendWholesale(benchmark::State &State) {
-  TransferPair P(/*DonationThreshold=*/1);
+  TransferPair P;
   uint64_t DonatedSegments = 0, ZeroCopyBytes = 0;
   int SinceDrain = 0;
   for (auto _ : State) {
@@ -156,11 +124,9 @@ void BM_CrossShardSendWholesale(benchmark::State &State) {
     const auto T0 = BenchClock::now();
     DonatedGraph G = P.Sender.tryCloseScopeDonating(L);
     GENGC_ASSERT(G.Domain, "self-contained scope must donate wholesale");
-    PinnedMessage Msg;
-    Msg.Donated = std::make_unique<DonatedGraph>(std::move(G));
-    DonatedSegments += Msg.Donated->segmentCount();
-    ZeroCopyBytes += Msg.Donated->Bytes;
-    benchmark::DoNotOptimize(receiveTransfer(P.Receiver, Msg));
+    DonatedSegments += G.segmentCount();
+    ZeroCopyBytes += G.Bytes;
+    benchmark::DoNotOptimize(P.Receiver.adoptDonatedGraph(G));
     timeIteration(State, T0);
     if (++SinceDrain == 16) {
       P.drainReceiver();

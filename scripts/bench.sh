@@ -78,19 +78,17 @@ if [ "${1:-}" = "--loadgen" ]; then
     --shards 4 --sessions "$LG_SESSIONS" --ops "$LG_OPS" \
     --seed "$LG_SEED" --think-time-us "$LG_THINK_US" --fail-rate 5 \
     --scoped --json "$OUT/loadgen_shards4_scoped.json"
-  # Donation A/B leg: the same 8-shard load with bulk message payloads
-  # (--payload-bytes), deep-copied vs segment-donated. Diff the pair's
+  # Bulk-payload leg: the same 8-shard load with bulk message payloads
+  # (--payload-bytes), all sent by segment donation. Read its
   # throughput_ops_per_sec / latency_op_* / transfer_* keys
-  # (EXPERIMENTS.md's zero-copy transfer walkthrough reads them).
+  # (EXPERIMENTS.md's zero-copy transfer walkthrough).
   LG_PAYLOAD="${LG_PAYLOAD:-16384}"
-  for donate in off on; do
-    echo "==> loadgen: 8 shards, ${LG_PAYLOAD}B payloads, donate $donate"
-    "$DIR/tools/loadgen/loadgen" \
-      --shards 8 --sessions "$LG_SESSIONS" --ops "$LG_OPS" \
-      --seed "$LG_SEED" --think-time-us "$LG_THINK_US" --fail-rate 5 \
-      --payload-bytes "$LG_PAYLOAD" --donate "$donate" \
-      --json "$OUT/loadgen_shards8_donate_${donate}.json"
-  done
+  echo "==> loadgen: 8 shards, ${LG_PAYLOAD}B payloads"
+  "$DIR/tools/loadgen/loadgen" \
+    --shards 8 --sessions "$LG_SESSIONS" --ops "$LG_OPS" \
+    --seed "$LG_SEED" --think-time-us "$LG_THINK_US" --fail-rate 5 \
+    --payload-bytes "$LG_PAYLOAD" \
+    --json "$OUT/loadgen_shards8_payload.json"
   echo "==> results in $OUT/"
   summarize
   exit 0

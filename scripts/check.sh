@@ -122,7 +122,7 @@ run_suite() {
   # the run must actually donate (nonzero transfer counters in JSON).
   echo "==> [$name] loadgen donation smoke"
   "$dir/tools/loadgen/loadgen" --shards 8 --sessions 8 --ops 200 \
-    --seed 11 --fail-rate 5 --payload-bytes 16384 --donate on \
+    --seed 11 --fail-rate 5 --payload-bytes 16384 \
     --json "$dir/loadgen-donate.json" >/dev/null
   grep -q '"transfer_donated_segments": [1-9]' "$dir/loadgen-donate.json"
   rm -f "$dir/loadgen-donate.json"

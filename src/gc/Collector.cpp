@@ -202,25 +202,23 @@ void Collector::detachFromSpace(unsigned G) {
     }
   }
 
-  // Adopted donation runs live in the exchange arena, tagged with the
-  // oldest generation: a full collection evacuates their survivors into
-  // the private arena like any other old objects, after which the
+  // Adopted donation runs live in the exchange arena, tagged with
+  // generation 0: every collection evacuates their survivors into the
+  // private arena like any other young objects, after which the
   // exchange segments are returned to the process pool.
-  if (G == H.oldestGeneration()) {
-    Arena &EA = H.Exchange->arena();
-    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-      for (const SegmentRun &R : H.AdoptedRuns[Sp]) {
-        for (uint32_t Seg = R.FirstSegment;
-             Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-          EA.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-        S.BytesInFromSpace +=
-            static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-      }
-      FromExchangeRuns[Sp].insert(FromExchangeRuns[Sp].end(),
-                                  H.AdoptedRuns[Sp].begin(),
-                                  H.AdoptedRuns[Sp].end());
-      H.AdoptedRuns[Sp].clear();
+  Arena &EA = H.Exchange->arena();
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
+    for (const SegmentRun &R : H.AdoptedRuns[Sp]) {
+      for (uint32_t Seg = R.FirstSegment;
+           Seg != R.FirstSegment + R.SegmentCount; ++Seg)
+        EA.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
+      S.BytesInFromSpace +=
+          static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
     }
+    FromExchangeRuns[Sp].insert(FromExchangeRuns[Sp].end(),
+                                H.AdoptedRuns[Sp].begin(),
+                                H.AdoptedRuns[Sp].end());
+    H.AdoptedRuns[Sp].clear();
   }
 }
 

@@ -199,7 +199,7 @@ private:
   std::vector<SegmentRun> FromRuns[NumSpaces];
   /// From-space runs that live in the exchange arena rather than the
   /// heap's private arena: adopted donation runs taken from
-  /// Heap::AdoptedRuns during a full collection, and the segments of a
+  /// Heap::AdoptedRuns by every collection, and the segments of a
   /// closing donation scope that failed the wholesale-transfer check.
   /// Freed through the exchange arena in freeFromSpace.
   std::vector<SegmentRun> FromExchangeRuns[NumSpaces];

@@ -122,7 +122,26 @@ Value SharedImmutableSpace::freezeRec(
 // Copy-out donation.
 //===----------------------------------------------------------------------===//
 
-DonatedGraph Heap::donateGraph(Value Root) {
+namespace {
+
+/// Kinds that are meaningless outside their shard and so never cross.
+bool crossesShards(Value V) {
+  if (V.isPair())
+    return true;
+  switch (headerKind(*V.objectHeader())) {
+  case ObjectKind::Closure:
+  case ObjectKind::Primitive:
+  case ObjectKind::PortHandle:
+  case ObjectKind::Guardian:
+    return false;
+  default:
+    return true;
+  }
+}
+
+} // namespace
+
+DonatedGraph Heap::donateGraph(Value Root, TransferPolicy Policy) {
   checkOwner("donateGraph");
   GENGC_ASSERT(!InGc, "donateGraph during a collection");
   GENGC_ASSERT(!NoAllocMode, "donateGraph inside a finalizer thunk");
@@ -142,6 +161,14 @@ DonatedGraph Heap::donateGraph(Value Root) {
   if (Root.isObject() && objectKind(Root) == ObjectKind::Symbol) {
     G.RootIsSymbol = true;
     G.RootSymbolName = symbolName(Root);
+    ++GraphsDonatedTotal;
+    return G;
+  }
+  if (!crossesShards(Root)) {
+    if (Policy == TransferPolicy::Reject)
+      return DonatedGraph();
+    G.RootBits = Value::falseV().bits();
+    G.SeveredEdges = 1;
     ++GraphsDonatedTotal;
     return G;
   }
@@ -196,48 +223,66 @@ DonatedGraph Heap::donateGraph(Value Root) {
     return NewBits;
   };
 
-  // Rewrites one slot of a donated copy in place.
+  // Rewrites one slot of a donated copy in place. False iff the slot
+  // reaches a kind that cannot cross shards under Reject.
   auto fixSlot = [&](uintptr_t *Slot, bool WeakCar,
                      uintptr_t ContainerBits) {
     Value V = Value::fromBits(*Slot);
     if (!V.isHeapPointer())
-      return;
+      return true;
     const SegmentInfo &Info = segInfo(V.heapAddress());
     if (Info.isShared())
-      return; // Shared immutables are valid on every shard as-is.
+      return true; // Shared immutables are valid on every shard as-is.
     GENGC_ASSERT(!(Info.isDonated() &&
                    Info.Generation == InFlightGeneration),
                  "donateGraph reached another in-flight donation");
     if (V.isObject() &&
         headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
-      // Symbols keep per-heap eq? identity: transfer by name, exactly
-      // like the deep-copy encoder.
+      // Symbols keep per-heap eq? identity: transfer by name.
       G.Fixups.push_back({Slot, ContainerBits, WeakCar, symbolName(V)});
       *Slot = Value::falseV().bits();
-      return;
+      return true;
+    }
+    if (!crossesShards(V)) {
+      if (Policy == TransferPolicy::Reject)
+        return false;
+      *Slot = Value::falseV().bits();
+      ++G.SeveredEdges;
+      return true;
     }
     *Slot = copyOut(V);
+    return true;
   };
 
   G.RootBits = copyOut(Root);
-  while (!Pending.empty()) {
+  bool Rejected = false;
+  while (!Pending.empty() && !Rejected) {
     auto [P, Space] = Pending.back();
     Pending.pop_back();
     if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      // Weak cars are traversed strongly: a message is a value, and the
-      // deep-copy encoder also carries weakly-held structure across; the
-      // copies land in weak-pair-space segments, so the receiver's own
-      // collections resume weak semantics after adoption.
+      // Weak cars are traversed strongly: a message is a value, so
+      // weakly-held structure crosses too; the copies land in
+      // weak-pair-space segments, so the receiver's own collections
+      // resume weak semantics after adoption.
       uintptr_t CB =
           Value::pair(reinterpret_cast<PairCell *>(P)).bits();
-      fixSlot(&P[0], /*WeakCar=*/Space == SpaceKind::WeakPair, CB);
-      fixSlot(&P[1], /*WeakCar=*/false, CB);
+      Rejected = !fixSlot(&P[0], /*WeakCar=*/Space == SpaceKind::WeakPair,
+                          CB) ||
+                 !fixSlot(&P[1], /*WeakCar=*/false, CB);
     } else {
       const uintptr_t CB = Value::object(P).bits();
       const size_t Fields = objectPointerFieldCount(*P);
-      for (size_t I = 0; I != Fields; ++I)
-        fixSlot(P + 1 + I, /*WeakCar=*/false, CB);
+      for (size_t I = 0; I != Fields && !Rejected; ++I)
+        Rejected = !fixSlot(P + 1 + I, /*WeakCar=*/false, CB);
     }
+  }
+  if (Rejected) {
+    // Nothing is sent: the runs copied so far go back to the exchange
+    // arena, and the sender's graph was never touched.
+    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+      for (const SegmentRun &R : Ctxs[Sp].takeRuns(EA))
+        EA.freeRun(R.FirstSegment, R.SegmentCount);
+    return DonatedGraph();
   }
 
   // Seal and detach: the handle owns the runs outright from here.
@@ -289,9 +334,13 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
     Syms.push_back(intern(F.Name));
 
   // Phase 2 — no safepoints from here on: retag the segments to this
-  // heap's oldest generation and append the runs to the adopted tenured
-  // space. Addresses do not change; ownership does.
-  const uint8_t Oldest = static_cast<uint8_t>(oldestGeneration());
+  // heap's generation 0 and append the runs to the adopted space.
+  // Addresses do not change; ownership does. The footprint, not the
+  // payload bytes, is charged against the generation-0 budget: each
+  // small message holds whole segments until a collection returns them.
+  BytesSinceGc += Graph.segmentCount() * SegmentBytes;
+  if (BytesSinceGc >= Cfg.Gen0CollectBytes)
+    GcPending = true;
   Arena &EA = Exchange->arena();
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     for (const SegmentRun &R : Graph.Runs[Sp]) {
@@ -301,7 +350,7 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
         GENGC_ASSERT(Info.isDonated() && !Info.isShared() &&
                          Info.Generation == InFlightGeneration,
                      "adopting a segment that is not an in-flight donation");
-        Info.Generation = Oldest;
+        Info.Generation = 0;
         Info.Age = 0;
         Info.ScopeDepth = 0;
       }
@@ -310,22 +359,17 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
     Graph.Runs[Sp].clear();
   }
 
-  // Phase 3: patch the symbol placeholders raw and record the young
-  // edges — a freshly interned symbol is generation 0 (or lives in an
-  // open scope), while its container now sits in the oldest generation.
+  // Phase 3: patch the symbol placeholders raw. The containers are in
+  // generation 0, so no symbol is younger than its container; only a
+  // symbol interned into an open scope of this heap needs recording,
+  // as an escape root of that scope.
   for (size_t I = 0; I != Graph.Fixups.size(); ++I) {
     const DonatedSymbolFixup &F = Graph.Fixups[I];
     Value Sym = Syms[I];
     *F.Slot = Sym.bits();
-    const unsigned SymDepth = scopeDepthOf(Sym);
-    if (SymDepth != 0) {
-      // Interned into an open scope of this heap: the donated container
-      // is an escape root for that scope, not a remembered-set entry.
+    if (const unsigned SymDepth = scopeDepthOf(Sym)) {
       ScopedGeneration &SG = *ScopeStack[SymDepth - 1];
       (F.WeakCar ? SG.WeakEscapes : SG.Escapes).insert(F.ContainerBits);
-    } else if (generationOf(Sym) < Oldest) {
-      (F.WeakCar ? WeakRemembered[Oldest] : Remembered[Oldest])
-          .insert(F.ContainerBits);
     }
   }
   Graph.Fixups.clear();
@@ -439,7 +483,7 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
         headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
       // In-scope or not, symbols transfer by name; an in-scope symbol's
       // storage rides along as unreferenced words and is reclaimed by
-      // the receiver's first full collection.
+      // the receiver's next collection.
       Fixups.push_back({Slot, ContainerBits, WeakCar, V});
       return true;
     }

@@ -85,6 +85,18 @@ Heap::~Heap() {
     dumpChromeTraceToFile(Telemetry, Telemetry.TraceDumpPath);
   if (Profiler.enabled() && !Profiler.dumpPath().empty())
     Profiler.dumpToFile(Profiler.dumpPath());
+  // The private arena dies with the heap, but exchange-arena segments
+  // are process-wide: hand back the adopted runs and the nurseries of
+  // donation scopes still open.
+  Arena &EA = Exchange->arena();
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
+    for (const SegmentRun &R : AdoptedRuns[Sp])
+      EA.freeRun(R.FirstSegment, R.SegmentCount);
+    for (const auto &SG : ScopeStack)
+      if (SG->Donation)
+        for (const SegmentRun &R : SG->Contexts[Sp].runs())
+          EA.freeRun(R.FirstSegment, R.SegmentCount);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -604,8 +616,8 @@ Heap::GenerationUsage Heap::generationUsage(unsigned Generation) const {
         Usage.SegmentCount += R.SegmentCount;
       Usage.UsedBytes += Ctx.usedWords(Segments) * sizeof(uintptr_t);
     }
-  // Adopted donation runs are tenured space of the oldest generation.
-  if (Generation == oldestGeneration())
+  // Adopted donation runs are generation 0.
+  if (Generation == 0)
     for (unsigned S = 0; S != NumSpaces; ++S)
       for (const SegmentRun &R : AdoptedRuns[S]) {
         Usage.SegmentCount += R.SegmentCount;

@@ -41,6 +41,7 @@
 #include "gc/telemetry/AllocProfiler.h"
 #include "gc/telemetry/Telemetry.h"
 #include "heap/Arena.h"
+#include "heap/SharedImmutableSpace.h"
 #include "heap/SpaceContext.h"
 #include "object/Layout.h"
 #include "object/Value.h"
@@ -51,8 +52,6 @@ namespace gengc {
 class Collector;
 class NoGcScope;
 class RootVector;
-class SharedImmutableSpace;
-struct DonatedGraph;
 struct HeapCensus;
 struct ScopedGeneration;
 
@@ -197,9 +196,9 @@ public:
 
   /// Segment info for any heap address this heap can reference: its
   /// private arena, or the exchange arena (shared immutable segments and
-  /// donated segments, which adoption makes part of this heap's tenured
-  /// space). The single classification point every barrier/collector
-  /// path routes through.
+  /// donated segments, which adoption makes part of this heap's
+  /// generation 0). The single classification point every
+  /// barrier/collector path routes through.
   const SegmentInfo &segInfo(uintptr_t Address) const {
     if (Segments.containsAddress(Address))
       return Segments.infoFor(Address);
@@ -215,23 +214,29 @@ public:
   SharedImmutableSpace &exchange() const { return *Exchange; }
 
   //===------------------------------------------------------------------===//
-  // Zero-copy segment donation (gc/Donation.cpp; DESIGN.md §14). The
-  // heap-level primitives under runtime/SegmentTransfer.h's protocol.
+  // Zero-copy segment donation (gc/Donation.cpp; DESIGN.md §14): the
+  // one way a value crosses shards (runtime/Shard.h's sendValue).
   //===------------------------------------------------------------------===//
 
   /// Evacuates the object graph rooted at \p Root into fresh sealed
   /// donation segments of the exchange arena and returns the handle.
   /// The sender's graph is left untouched (the copy-out uses a side
   /// map, not forwarding markers); symbols transfer by name as fixups;
-  /// shared-immutable references are kept as-is. Not a safepoint.
-  DonatedGraph donateGraph(Value Root);
+  /// shared-immutable references are kept as-is. A closure, primitive,
+  /// port handle or guardian is written as #f and counted under
+  /// TransferPolicy::Sever; under Reject the runs taken so far go back
+  /// to the exchange arena and the returned handle has a null Domain.
+  /// Not a safepoint.
+  DonatedGraph donateGraph(Value Root,
+                           TransferPolicy Policy = TransferPolicy::Reject);
 
   /// Adopts \p Graph: re-interns its symbol fixups, retags its segments
-  /// to this heap's oldest generation, appends the runs to the adopted
-  /// tenured space (collected with the oldest generation from the next
-  /// full collection on), and returns the graph's root. Empties the
-  /// handle. May collect (symbol interning is a safepoint), but only
-  /// before the graph becomes reachable.
+  /// to this heap's generation 0 (age 0), appends the runs to the
+  /// adopted space, charges their footprint against the generation-0
+  /// collection budget, and returns the graph's root. Every collection
+  /// evacuates the survivors and returns the segments to the exchange
+  /// arena. Empties the handle. May collect (symbol interning is a
+  /// safepoint), but only before the graph becomes reachable.
   Value adoptDonatedGraph(DonatedGraph &Graph);
 
   /// Opens a donation scope: like openScope(), but the scope's nursery
@@ -257,11 +262,11 @@ public:
   uint64_t bytesDonated() const { return BytesDonatedTotal; }
   uint64_t scopesDonatedWholesale() const { return ScopesDonatedTotal; }
 
-  /// Exchange segments this heap currently holds as adopted tenured
-  /// runs (they return to the exchange arena at the next full
-  /// collection). With the in-flight handles a caller tracks itself,
-  /// this accounts for every donated segment a single-heap test owns —
-  /// the fuzzer's ownership audit.
+  /// Exchange segments this heap currently holds as adopted runs (they
+  /// return to the exchange arena at the next collection). With the
+  /// in-flight handles a caller tracks itself, this accounts for every
+  /// donated segment a single-heap test owns — the fuzzer's ownership
+  /// audit.
   size_t adoptedSegments() const {
     size_t N = 0;
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
@@ -609,10 +614,10 @@ private:
   std::vector<ProtectedEntry> Protected[MaxGenerations];
 
   /// Adopted donation runs, per space: exchange-arena segments this heap
-  /// received through adoptDonatedGraph, retagged to the oldest
-  /// generation. Logically part of the oldest generation's tenured
-  /// space; a full collection evacuates their survivors into the
-  /// private arena and returns the segments to the exchange arena.
+  /// received through adoptDonatedGraph, retagged to generation 0.
+  /// Logically part of generation 0; every collection evacuates their
+  /// survivors into the private arena and returns the segments to the
+  /// exchange arena, as does the destructor.
   std::vector<SegmentRun> AdoptedRuns[NumSpaces];
 
   /// Monotonic donation counters (graphsDonated() etc.).

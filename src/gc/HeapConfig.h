@@ -128,14 +128,8 @@ struct HeapConfig {
 
   //===------------------------------------------------------------------===//
   // Zero-copy inter-shard transfer (heap/SharedImmutableSpace.h,
-  // runtime/SegmentTransfer.h; DESIGN.md §14).
+  // runtime/PinnedMessage.h; DESIGN.md §14).
   //===------------------------------------------------------------------===//
-
-  /// Cross-shard payloads at least this large are transferred by segment
-  /// donation (copy-out into fresh exchange-arena segments whose
-  /// ownership moves to the receiver) instead of the per-object deep
-  /// copy through a PinnedMessage. 0 disables donation entirely.
-  size_t DonationThresholdBytes = 0;
 
   /// The exchange domain this heap donates into and adopts from.
   /// nullptr — the default — resolves to the process-wide

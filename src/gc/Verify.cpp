@@ -49,7 +49,7 @@ struct Verifier {
   ContextsArray Contexts;
   ScopeStackArray &Scopes;
   /// Adopted donation runs (Heap::AdoptedRuns), per space: exchange-arena
-  /// segments that are part of this heap's tenured space.
+  /// segments that are part of this heap's generation 0.
   const std::vector<SegmentRun> *Adopted;
   PtrHashSet ValidBits; // Tagged bits of every live object.
   std::vector<std::string> Failures;
@@ -161,7 +161,7 @@ struct Verifier {
         for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
           walkContext(A, contextOf(Sp, G, Age), static_cast<SpaceKind>(Sp),
                       Visit);
-      // Adopted donation runs are tenured space living in the exchange
+      // Adopted donation runs are generation 0 living in the exchange
       // arena; their runs are sealed, so UsedWords is authoritative.
       for (const SegmentRun &R : Adopted[Sp])
         walkRun(EA, R, R.UsedWords, static_cast<SpaceKind>(Sp), Visit);
@@ -241,11 +241,11 @@ struct Verifier {
                             /*Depth=*/0, /*ExpectDonated=*/false);
         walkContext(A, Ctx, static_cast<SpaceKind>(Sp), Register);
        }
-      // Adopted donation runs: exchange-arena segments retagged to the
-      // oldest generation, still carrying the donation flag.
+      // Adopted donation runs: exchange-arena segments retagged to
+      // generation 0, still carrying the donation flag.
       for (const SegmentRun &R : Adopted[Sp]) {
         checkRunTagging(EA, R, static_cast<SpaceKind>(Sp),
-                        Cfg.Generations - 1, /*Age=*/0, /*Depth=*/0,
+                        /*Gen=*/0, /*Age=*/0, /*Depth=*/0,
                         /*ExpectDonated=*/true);
         walkRun(EA, R, R.UsedWords, static_cast<SpaceKind>(Sp), Register);
       }

@@ -95,12 +95,11 @@ HeapCensus Heap::census() const {
         AccumulateContext(Segments, Contexts[Sp][G][Age], Space,
                           C.Cells[G][Sp]);
     // Adopted donation runs live in the exchange arena but are this
-    // heap's tenured space: count them under the oldest generation,
-    // which their segments are tagged with. Sealed runs, so UsedWords
-    // is authoritative.
+    // heap's generation 0, which their segments are tagged with. Sealed
+    // runs, so UsedWords is authoritative.
     for (const SegmentRun &R : AdoptedRuns[Sp])
       AccumulateRun(Exchange->arena(), R, R.UsedWords, Space,
-                    C.Cells[Cfg.Generations - 1][Sp]);
+                    C.Cells[0][Sp]);
   }
 
   // Open request scopes are counted under generation 0: their segments

@@ -21,10 +21,11 @@
 ///  - **Donation segments** (SegmentInfo::FlagDonated): sealed segments
 ///    holding a self-contained message graph copied out (or re-tagged
 ///    wholesale from a donation scope) by a sending shard. While in
-///    flight they carry Generation 0 and are owned by the DonatedGraph
-///    handle; on receipt, Heap::adoptDonatedGraph retags them to the
-///    receiver's oldest generation and appends them to its tenured run
-///    lists — ownership moves, bytes do not.
+///    flight they carry InFlightGeneration and are owned by the
+///    DonatedGraph handle; on receipt, Heap::adoptDonatedGraph retags
+///    them to the receiver's generation 0 and appends them to its
+///    adopted run lists — ownership moves, bytes do not. The receiver's
+///    next collection evacuates the survivors and frees the segments.
 ///
 /// Thread safety: freeze/internShared serialize on one mutex (publishing
 /// is rare and cold); donation copy-out allocates runs through the
@@ -51,29 +52,35 @@ namespace gengc {
 class Heap;
 class SharedImmutableSpace;
 
+/// What to do when a donated graph reaches an object that cannot cross
+/// shards: a closure, primitive, port handle or guardian.
+enum class TransferPolicy : uint8_t {
+  Reject, ///< Heap::donateGraph fails; nothing may be sent.
+  Sever,  ///< The offending slot arrives as #f; counted in the handle.
+};
+
 /// A symbol slot inside a donated graph. Symbols keep per-heap eq?
 /// identity through the intern table, so they are never donated; the
 /// copy-out leaves #f in the slot and records the name, and adoption
-/// re-interns the name on the receiving heap and patches the slot —
-/// exactly the by-name transfer the deep-copy encoder performs.
+/// re-interns the name on the receiving heap and patches the slot.
 struct DonatedSymbolFixup {
   /// The placeholder word inside the donated segments. Stable for the
   /// graph's whole life: donation segments never move until after
   /// adoption patches them.
   uintptr_t *Slot;
   /// Tagged bits of the donated container holding Slot — equally stable.
-  /// Adoption patches Slot with a freshly interned (generation 0)
-  /// symbol while the container sits in the oldest generation, so the
-  /// container must enter the receiver's remembered set.
+  /// When the receiver interns the name inside an open request scope,
+  /// the container becomes one of that scope's escape roots.
   uintptr_t ContainerBits;
-  /// The slot is a weak pair's car; adoption then records the container
-  /// in the weak remembered set instead of the strong one.
+  /// The slot is a weak pair's car; the container is then a weak escape.
   bool WeakCar;
   std::string Name;
 };
 
 /// A self-contained message graph living in sealed donation segments of
-/// the exchange arena. Move-only; the handle owns the segments until
+/// the exchange arena. A handle whose Domain is null carries nothing:
+/// it is default-constructed, already adopted, or the result of a
+/// refused donation. Move-only; the handle owns the segments until
 /// adoption (Heap::adoptDonatedGraph empties it) or destruction (the
 /// runs are freed back to the exchange arena — a dropped message leaks
 /// nothing).
@@ -96,6 +103,8 @@ struct DonatedGraph {
   /// Payload bytes resident in the donated runs — the bytes the
   /// receiver does NOT copy.
   uint64_t Bytes = 0;
+  /// Slots written as #f under TransferPolicy::Sever.
+  uint64_t SeveredEdges = 0;
   /// GcFaultInjection::LeakDonatedSegment: destruction skips freeing the
   /// runs, leaking them in the exchange arena for the fuzz audit to
   /// catch.
@@ -116,6 +125,7 @@ struct DonatedGraph {
       RootSymbolName = std::move(O.RootSymbolName);
       Fixups = std::move(O.Fixups);
       Bytes = O.Bytes;
+      SeveredEdges = O.SeveredEdges;
       LeakOnDrop = O.LeakOnDrop;
       O.Domain = nullptr;
       for (unsigned S = 0; S != NumSpaces; ++S)

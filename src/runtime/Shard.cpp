@@ -12,7 +12,6 @@
 #include "core/TransportGuardian.h"
 #include "gc/Heap.h"
 #include "gc/Roots.h"
-#include "runtime/SegmentTransfer.h"
 
 namespace gengc {
 namespace runtime {
@@ -76,48 +75,51 @@ void Shard::run(Task T) {
 bool Shard::sendValue(Shard &To, Value V, TransferPolicy Policy) {
   GENGC_ASSERT(HeapPtr && HeapPtr->onOwnerThread(),
                "sendValue must run on the sending shard's thread");
+  Root RV(*HeapPtr, V);
+  // One evacuation into exchange-arena segments on this thread; the
+  // receiver adopts them by retagging, copying nothing.
   PinnedMessage Msg;
-  {
-    Root RV(*HeapPtr, V);
-    const TransferPlan Plan = planTransfer(*HeapPtr, RV.get());
-    if (Plan.Donate) {
-      // Zero-copy path: one evacuation into exchange-arena segments on
-      // this thread; the receiver adopts by retagging, copying nothing.
-      buildDonationMessage(*HeapPtr, RV.get(), Msg);
-      Rep.TransferDonatedSegments += Msg.Donated->segmentCount();
-      Rep.TransferBytesZeroCopy += Msg.Donated->Bytes;
-    } else if (!encodeMessage(*HeapPtr, RV.get(), Msg, Policy)) {
-      return false;
-    }
-    // Shard-exit policy: watch the exported value through the transport
-    // guardian, so later movement (or death) inside this shard is
-    // observable — the receiver holds only a copy (deep or donated; the
-    // sender's graph is untouched either way).
-    ExitWatch->watch(RV.get());
-    ++Rep.ExportsWatched;
-  }
+  Msg.Graph = HeapPtr->donateGraph(RV.get(), Policy);
+  if (!Msg.Graph.Domain)
+    return false; // Rejected: a kind that cannot cross shards.
+  const size_t Segments = Msg.Graph.segmentCount();
+  const uint64_t Bytes = Msg.Graph.Bytes;
   // Causal stamping: this hop gets a fresh span; the trace is the one
   // we are handling (message-triggered sends chain) or starts here.
-  Msg.SpanId = newSpanId();
-  Msg.TraceId = CurrentTraceId ? CurrentTraceId : Msg.SpanId;
-  {
-    GcTelemetry &Tel = HeapPtr->telemetry();
-    GcEvent E;
-    E.Type = GcEventType::MessageSend;
-    E.TimeNanos = Tel.now();
-    E.A = Msg.TraceId;
-    E.B = Msg.SpanId;
-    E.Detail = static_cast<uint16_t>(To.id());
-    Tel.emit(E);
-  }
-  return To.Inbox.trySend(std::move(Msg));
+  const uint64_t SpanId = newSpanId();
+  const uint64_t TraceId = CurrentTraceId ? CurrentTraceId : SpanId;
+  Msg.SpanId = SpanId;
+  Msg.TraceId = TraceId;
+  GcTelemetry &Tel = HeapPtr->telemetry();
+  // Stamped before the enqueue, so the send precedes the receive on
+  // the fleet clock.
+  const uint64_t SentAt = Tel.now();
+  // A refused message is dropped inside trySend, which frees its
+  // segments; nothing below happens for it.
+  if (!To.Inbox.trySend(std::move(Msg)))
+    return false;
+
+  // Shard-exit policy: watch the exported value through the transport
+  // guardian, so later movement (or death) inside this shard is
+  // observable — the receiver holds only a copy, and the sender's graph
+  // is untouched.
+  ExitWatch->watch(RV.get());
+  ++Rep.ExportsWatched;
+  Rep.TransferDonatedSegments += Segments;
+  Rep.TransferBytesZeroCopy += Bytes;
+  GcEvent E;
+  E.Type = GcEventType::MessageSend;
+  E.TimeNanos = SentAt;
+  E.A = TraceId;
+  E.B = SpanId;
+  E.Detail = static_cast<uint16_t>(To.id());
+  Tel.emit(E);
+  return true;
 }
 
 void Shard::deliverMessage(PinnedMessage &Msg) {
   ++Rep.MessagesReceived;
-  Rep.MessagesDecodedNodes += Msg.nodeCount();
-  if (Msg.Donated)
-    ++Rep.MessagesAdopted;
+  ++Rep.MessagesAdopted;
   {
     GcTelemetry &Tel = HeapPtr->telemetry();
     GcEvent E;
@@ -130,7 +132,7 @@ void Shard::deliverMessage(PinnedMessage &Msg) {
     Tel.emit(E);
   }
   {
-    Root RV(*HeapPtr, receiveTransfer(*HeapPtr, Msg));
+    Root RV(*HeapPtr, HeapPtr->adoptDonatedGraph(Msg.Graph));
     // The handler runs inside the sender's trace: sends and ticket
     // submissions it performs chain onto the same causal arrow.
     CurrentTraceId = Msg.TraceId;

@@ -16,8 +16,8 @@
 ///  - a shard's Heap is constructed, mutated, collected, and destroyed
 ///    on the shard thread, never elsewhere;
 ///  - Values never cross shards; only PinnedMessages do (sendValue
-///    deep-copies on the sending thread, the receiver decodes into its
-///    own heap);
+///    donates the graph into exchange-arena segments on the sending
+///    thread, the receiver adopts them into its own generation 0);
 ///  - the FinalizationExecutor touches no heap: shards convert
 ///    resurrected guardian objects to plain-word tickets before
 ///    submitting.
@@ -70,7 +70,7 @@ public:
   virtual ~ShardLocal() = default;
 
   /// Called on the shard thread for every inbox message, with the value
-  /// already decoded into this shard's heap.
+  /// already adopted into this shard's heap.
   virtual void onMessage(Shard &S, Value V) { (void)S, (void)V; }
 
   /// Called on the shard thread during shutdown, after the inbox is
@@ -96,14 +96,15 @@ public:
     /// the heap recorded events (HeapConfig::GcTrace).
     ShardTraceSample Trace;
     uint64_t MessagesReceived = 0;
+    /// Always 0: every message is adopted, none is decoded node by
+    /// node. perfbench still reads it as runtime.recv.decoded_nodes.
     uint64_t MessagesDecodedNodes = 0;
     uint64_t ExportsWatched = 0;
     uint64_t ExportsMoved = 0; ///< Transport-guardian deliveries observed.
     uint64_t TasksRun = 0;
-    /// Zero-copy transfer accounting (runtime/SegmentTransfer.h).
-    /// Sender side: segments and payload bytes this shard shipped by
-    /// donation instead of deep copy. Receiver side: donated messages
-    /// this shard adopted by retagging.
+    /// Transfer accounting. Sender side: segments and payload bytes of
+    /// the messages this shard's sends had accepted. Receiver side:
+    /// messages this shard adopted by retagging.
     uint64_t TransferDonatedSegments = 0;
     uint64_t TransferBytesZeroCopy = 0;
     uint64_t MessagesAdopted = 0;
@@ -133,12 +134,12 @@ public:
   void run(Task T);
 
   /// Transfers \p V (which lives in this shard's heap; owner thread
-  /// only) to \p To without blocking: payloads at or above
-  /// HeapConfig::DonationThresholdBytes travel by zero-copy segment
-  /// donation (runtime/SegmentTransfer.h), everything else by the
-  /// classic deep copy. Either way the export is watched for shard
-  /// exit. Returns false if the destination inbox is full or closed,
-  /// or the value is not transferable. Use on the shard thread.
+  /// only) to \p To without blocking, by segment donation
+  /// (Heap::donateGraph). Returns false if the value is not
+  /// transferable under \p Policy or the destination inbox is full or
+  /// closed; a refused send frees its segments and leaves no trace.
+  /// An accepted export is watched for shard exit, counted, and
+  /// recorded as a send event. Use on the shard thread.
   bool sendValue(Shard &To, Value V,
                  TransferPolicy Policy = TransferPolicy::Reject);
 
@@ -176,9 +177,9 @@ private:
   uint64_t newSpanId() {
     return (static_cast<uint64_t>(Id) + 1) << 32 | ++SpanSeq;
   }
-  /// Materializes \p Msg (adopting its donated segments, or decoding
-  /// its node table), emits its receive event, and hands the value to
-  /// the ShardLocal with CurrentTraceId set for the duration.
+  /// Adopts \p Msg's donated segments, emits its receive event, and
+  /// hands the value to the ShardLocal with CurrentTraceId set for the
+  /// duration.
   void deliverMessage(PinnedMessage &Msg);
 
   const uint32_t Id;

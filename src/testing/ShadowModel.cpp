@@ -813,9 +813,9 @@ ShadowModel::GraphSnapshot ShadowModel::snapshotGraph(SVal Root) const {
 SVal ShadowModel::adoptGraph(const GraphSnapshot &G) {
   // Phase 1, mirroring Heap::adoptDonatedGraph: intern every fixup
   // name first (each may allocate a string + symbol in the nursery).
-  // Phase 2 then instantiates the copied nodes directly in the oldest
-  // generation — adoption retags whole donated segments tenured, so
-  // every adopted object is born old, age 0, scope 0.
+  // Phase 2 then instantiates the copied nodes — adoption retags whole
+  // donated segments to generation 0, so every adopted object is born
+  // young, age 0, scope 0.
   auto internFixup = [&](const SnapVal &S) {
     if (S.Kind == SnapVal::K::Symbol)
       intern(S.Name);
@@ -825,13 +825,12 @@ SVal ShadowModel::adoptGraph(const GraphSnapshot &G) {
     for (const SnapVal &F : N.Fields)
       internFixup(F);
 
-  const uint8_t Oldest = static_cast<uint8_t>(Generations - 1);
   std::vector<ObjId> Ids(G.Nodes.size(), NoObj);
   for (size_t I = 0; I != G.Nodes.size(); ++I) {
     const SnapNode &N = G.Nodes[I];
     const ObjId Id = newObject(N.Kind);
     SObj &O = Objects[Id];
-    O.Gen = Oldest;
+    O.Gen = 0;
     O.Age = 0;
     O.Scope = 0;
     O.Length = N.Length;

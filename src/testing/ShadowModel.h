@@ -252,8 +252,8 @@ public:
   // Heap::donateGraph / Heap::adoptDonatedGraph: a GraphSnapshot is a
   // heap-independent structural copy of a donated graph (the shadow of
   // a DonatedGraph handle), and adoptGraph instantiates it as fresh
-  // objects in the oldest generation, exactly like adoption retags the
-  // donated segments tenured.
+  // objects in generation 0, exactly like adoption retags the donated
+  // segments young.
   //===------------------------------------------------------------------===//
 
   /// One value inside a snapshot: a raw immediate, an index into
@@ -291,10 +291,9 @@ public:
   /// cycles preserved by node index — the same walk donateGraph does.
   GraphSnapshot snapshotGraph(SVal Root) const;
 
-  /// Instantiates \p G as fresh objects born directly in the oldest
-  /// generation at scope depth 0 (adopted segments join the tenured
-  /// space), interning each symbol fixup by name. Returns the adopted
-  /// root.
+  /// Instantiates \p G as fresh objects born in generation 0, age 0, at
+  /// scope depth 0 (adopted segments join generation 0), interning each
+  /// symbol fixup by name. Returns the adopted root.
   SVal adoptGraph(const GraphSnapshot &G);
 
   const SObj &obj(ObjId Id) const { return Objects[Id]; }

@@ -162,10 +162,10 @@ private:
 
   /// The donation ownership map: every segment the exchange arena has
   /// handed out must be accounted for by exactly one owner — an
-  /// in-flight DonatedGraph handle or this heap's adopted tenured
-  /// runs. Runs after every donation op and every collection (a full
-  /// collection evacuates adopted runs and returns their segments, so
-  /// both sides of the equation drop together). A graph leaked on drop
+  /// in-flight DonatedGraph handle or this heap's adopted runs. Runs
+  /// after every donation op and every collection (each collection
+  /// evacuates adopted runs and returns their segments, so both sides
+  /// of the equation drop together). A graph leaked on drop
   /// (GcFaultInjection::LeakDonatedSegment) leaves the exchange count
   /// high with no owner, which this catches immediately.
   void auditDonations() {

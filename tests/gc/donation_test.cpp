@@ -8,9 +8,10 @@
 /// \file
 /// The heap-level halves of zero-copy inter-shard transfer (DESIGN.md
 /// §14): copy-out donation and adoption between two heaps bound to one
-/// private exchange domain, segment-ownership accounting across drops
-/// and full collections, symbol fixups and their remembered-set edges,
-/// weak-pair space preservation, and the freeze-and-publish protocol of
+/// private exchange domain, adoption into generation 0 and its charge
+/// against the collection budget, segment-ownership accounting across
+/// drops, collections and heap destruction, symbol fixups, weak-pair
+/// space preservation, and the freeze-and-publish protocol of
 /// the shared immutable space (including the store-into-shared abort).
 ///
 //===----------------------------------------------------------------------===//
@@ -84,7 +85,7 @@ TEST(DonationTest, GraphCrossesHeapsWithoutReceiverCopies) {
   Value P = Adopted.get();
   for (int I = 0; I != 1000; ++I) {
     ASSERT_TRUE(P.isPair());
-    EXPECT_EQ(Receiver.generationOf(P), Receiver.oldestGeneration());
+    EXPECT_EQ(Receiver.generationOf(P), 0u);
     EXPECT_EQ(pairCar(P).asFixnum(), I);
     P = pairCdr(P);
   }
@@ -203,9 +204,12 @@ TEST(DonationTest, SymbolFixupsReinternAndRememberContainers) {
 
   EXPECT_EQ(pairCar(Out.get()).bits(), Receiver.intern("fresh-name").bits());
   EXPECT_EQ(pairCar(pairCdr(Out.get())).bits(), Pre.get().bits());
-  // The adopted containers sit in the oldest generation while the
-  // symbols are young: the remembered set must cover the edges, which
-  // verifyHeap checks, and a full collection must keep them intact.
+  // The adopted containers are generation 0, no older than any symbol,
+  // so no remembered-set entry is needed — verifyHeap checks that —
+  // and a minor and then a full collection must keep the edges intact.
+  Receiver.verifyHeap();
+  Receiver.collectMinor();
+  EXPECT_EQ(pairCar(Out.get()).bits(), Receiver.intern("fresh-name").bits());
   Receiver.verifyHeap();
   Receiver.collectFull();
   EXPECT_EQ(pairCar(Out.get()).bits(), Receiver.intern("fresh-name").bits());
@@ -229,9 +233,9 @@ TEST(DonationTest, WeakPairsStayWeakAfterAdoption) {
   EXPECT_EQ(pairCar(Out.get()).bits(), pairCdr(Out.get()).bits());
 
   // Sever the strong edge; the adopted weak pair must break at the
-  // receiver's next full collection — weakness survived the transfer.
+  // receiver's next collection — weakness survived the transfer.
   Receiver.setCdr(Out, Value::nil());
-  Receiver.collectFull();
+  Receiver.collectMinor();
   EXPECT_TRUE(pairCar(Out.get()).isFalse());
   Receiver.verifyHeap();
 }
@@ -246,17 +250,16 @@ TEST(DonationTest, FullCollectionEvacuatesAdoptedRuns) {
   const size_t Donated = G.segmentCount();
   Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
   EXPECT_EQ(X.donatedSegmentsInUse(), Donated);
+  EXPECT_EQ(Receiver.adoptedSegments(), Donated);
+  EXPECT_EQ(Receiver.generationOf(Adopted.get()), 0u);
 
-  // A minor collection leaves adopted (oldest-generation) runs alone.
+  // Adopted runs are generation 0: a minor collection already
+  // evacuates the survivors into the private arena and returns every
+  // donated segment to the exchange arena.
   Receiver.collectMinor();
-  EXPECT_EQ(X.donatedSegmentsInUse(), Donated);
-  EXPECT_EQ(Receiver.generationOf(Adopted.get()),
-            Receiver.oldestGeneration());
-
-  // A full collection evacuates the survivors into the private arena
-  // and returns every donated segment to the exchange arena.
-  Receiver.collectFull();
   EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+  EXPECT_EQ(Receiver.adoptedSegments(), 0u);
+  EXPECT_EQ(Receiver.generationOf(Adopted.get()), 1u);
   Value P = Adopted.get();
   for (int I = 0; I != 1000; ++I) {
     ASSERT_TRUE(P.isPair());
@@ -265,8 +268,9 @@ TEST(DonationTest, FullCollectionEvacuatesAdoptedRuns) {
   }
   Receiver.verifyHeap();
 
-  // Unreferenced adopted memory dies with that collection too: donate
-  // and adopt without keeping a root, then fully collect.
+  // Unreferenced adopted memory dies with any collection too, a full
+  // one included: donate and adopt without keeping a root, then
+  // collect.
   {
     Root Payload2(Sender, makeCountList(Sender, 200));
     DonatedGraph G2 = Sender.donateGraph(Payload2.get());
@@ -275,22 +279,76 @@ TEST(DonationTest, FullCollectionEvacuatesAdoptedRuns) {
   EXPECT_GT(X.donatedSegmentsInUse(), 0u);
   Receiver.collectFull();
   EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+  Receiver.verifyHeap();
 }
 
-TEST(DonationTest, CensusCountsAdoptedRunsInOldestGeneration) {
+TEST(DonationTest, AdoptionChargesFootprintAndTriggersMinorCollection) {
+  SharedImmutableSpace X(16u * 1024 * 1024);
+  Heap Sender(exchangeConfig(X));
+  HeapConfig RC = exchangeConfig(X);
+  RC.AutoCollect = true;
+  RC.StressGC = false; // The budget, not the stress schedule, triggers.
+  RC.Gen0CollectBytes = 8u * 1024;
+  Heap Receiver(RC);
+
+  // 1,000 pairs fill four segments: 16 KiB of footprint, twice the
+  // receiver's generation-0 budget, adopted without allocating.
+  Root Payload(Sender, makeCountList(Sender, 1000));
+  DonatedGraph G = Sender.donateGraph(Payload.get());
+  ASSERT_EQ(G.segmentCount() * SegmentBytes, 16u * 1024);
+  Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
+  EXPECT_EQ(Receiver.totals().Collections, 0u);
+  EXPECT_EQ(X.donatedSegmentsInUse(), 4u);
+
+  // The next safepoint runs a minor collection, which returns the
+  // segments to the exchange.
+  Root Probe(Receiver, Receiver.cons(Value::fixnum(1), Value::nil()));
+  EXPECT_EQ(Receiver.totals().Collections, 1u);
+  if (!Receiver.config().StressGC) // GENGC_STRESS=1 forces full ones.
+    EXPECT_EQ(Receiver.lastStats().CollectedGeneration, 0u);
+  EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+  EXPECT_EQ(pairCar(Adopted.get()).asFixnum(), 0);
+  Receiver.verifyHeap();
+}
+
+TEST(DonationTest, DestroyedReceiverReturnsAdoptedSegments) {
+  SharedImmutableSpace X(16u * 1024 * 1024);
+  Heap Sender(exchangeConfig(X));
+  {
+    Heap Receiver(exchangeConfig(X));
+    Root Payload(Sender, makeCountList(Sender, 1000));
+    DonatedGraph G = Sender.donateGraph(Payload.get());
+    Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
+    EXPECT_EQ(X.donatedSegmentsInUse(), 4u);
+  }
+  EXPECT_EQ(X.donatedSegmentsInUse(), 0u)
+      << "a destroyed heap hands its adopted runs back";
+
+  // So does a donation scope still open at destruction.
+  {
+    Heap H(exchangeConfig(X));
+    H.openDonationScope();
+    (void)makeCountList(H, 1000);
+    EXPECT_GT(X.donatedSegmentsInUse(), 0u);
+  }
+  EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+}
+
+TEST(DonationTest, CensusCountsAdoptedRunsInGenerationZero) {
   SharedImmutableSpace X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
   Root Payload(Sender, makeCountList(Sender, 500));
   DonatedGraph G = Sender.donateGraph(Payload.get());
+  const size_t Donated = G.segmentCount();
   Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
 
   HeapCensus C = Receiver.census();
-  const unsigned Oldest = Receiver.oldestGeneration();
-  size_t OldestPairs =
-      C.Cells[Oldest][static_cast<unsigned>(SpaceKind::Pair)].ObjectCount;
-  EXPECT_GE(OldestPairs, 500u);
+  size_t YoungPairs =
+      C.Cells[0][static_cast<unsigned>(SpaceKind::Pair)].ObjectCount;
+  EXPECT_GE(YoungPairs, 500u);
+  EXPECT_GE(Receiver.generationUsage(0).SegmentCount, Donated);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cross-shard value transfer (sharing, cycles, weakness, symbol
-/// re-interning, non-transferable policy), mailbox semantics, the
+/// Cross-shard value transfer by donation (sharing, cycles, weakness,
+/// symbol re-interning, non-transferable policy), mailbox semantics, the
 /// shard runtime's message/shutdown protocol, and fleet-wide GC
 /// aggregation.
 ///
@@ -19,12 +19,15 @@
 #include "telemetry/Aggregate.h"
 #include "object/Layout.h"
 #include "runtime/Mailbox.h"
+#include "heap/SharedImmutableSpace.h"
 #include "runtime/PinnedMessage.h"
 #include "runtime/Shard.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,21 +45,36 @@ HeapConfig testConfig() {
   return C;
 }
 
+/// Two heaps bound to one private exchange domain, so the donated
+/// segment count is exact per test.
+struct HeapPair {
+  SharedImmutableSpace X{16u * 1024 * 1024};
+  Heap Sender{withExchange()};
+  Heap Receiver{withExchange()};
+
+  HeapConfig withExchange() {
+    HeapConfig C = testConfig();
+    C.Exchange = &X;
+    return C;
+  }
+};
+
 //===----------------------------------------------------------------------===//
 // PinnedMessage
 //===----------------------------------------------------------------------===//
 
 TEST(PinnedMessageTest, ImmediateRootNeedsNoNodes) {
-  Heap H(testConfig());
+  HeapPair P;
   PinnedMessage Msg;
-  ASSERT_TRUE(encodeMessage(H, Value::fixnum(1234), Msg));
-  EXPECT_EQ(Msg.nodeCount(), 0u);
-  Heap H2(testConfig());
-  EXPECT_EQ(decodeMessage(H2, Msg).asFixnum(), 1234);
+  Msg.Graph = P.Sender.donateGraph(Value::fixnum(1234));
+  ASSERT_NE(Msg.Graph.Domain, nullptr);
+  EXPECT_EQ(Msg.Graph.segmentCount(), 0u);
+  EXPECT_EQ(P.Receiver.adoptDonatedGraph(Msg.Graph).asFixnum(), 1234);
 }
 
 TEST(PinnedMessageTest, DeepGraphRoundTripsAcrossHeaps) {
-  Heap H(testConfig());
+  HeapPair P;
+  Heap &H = P.Sender;
   // A record holding: a shared string (referenced twice), a vector, a
   // box, a bytevector, a flonum, and a symbol.
   Root Shared(H, H.makeString("shared"));
@@ -72,10 +90,11 @@ TEST(PinnedMessageTest, DeepGraphRoundTripsAcrossHeaps) {
   H.recordSet(Rec, 3, BV);
 
   PinnedMessage Msg;
-  ASSERT_TRUE(encodeMessage(H, Rec.get(), Msg));
+  Msg.Graph = H.donateGraph(Rec.get());
+  ASSERT_NE(Msg.Graph.Domain, nullptr);
 
-  Heap H2(testConfig());
-  Root Out(H2, decodeMessage(H2, Msg));
+  Heap &H2 = P.Receiver;
+  Root Out(H2, H2.adoptDonatedGraph(Msg.Graph));
   ASSERT_TRUE(isRecord(Out.get()));
   // Tag symbol re-interned into H2's table.
   EXPECT_EQ(objectField(Out.get(), 0).bits(), H2.intern("msg-tag").bits());
@@ -95,10 +114,12 @@ TEST(PinnedMessageTest, DeepGraphRoundTripsAcrossHeaps) {
   // The copy survives collections in its new heap.
   H2.collectFull();
   EXPECT_TRUE(isRecord(Out.get()));
+  H2.verifyHeap();
 }
 
 TEST(PinnedMessageTest, CyclesAndWeakPairsSurvive) {
-  Heap H(testConfig());
+  HeapPair P;
+  Heap &H = P.Sender;
   Root A(H, H.cons(Value::fixnum(1), Value::nil()));
   Root B(H, H.cons(Value::fixnum(2), A));
   H.setCdr(A, B); // Cycle: A -> B -> A.
@@ -106,10 +127,11 @@ TEST(PinnedMessageTest, CyclesAndWeakPairsSurvive) {
   Root Top(H, H.cons(W, A));
 
   PinnedMessage Msg;
-  ASSERT_TRUE(encodeMessage(H, Top.get(), Msg));
+  Msg.Graph = H.donateGraph(Top.get());
+  ASSERT_NE(Msg.Graph.Domain, nullptr);
 
-  Heap H2(testConfig());
-  Root Out(H2, decodeMessage(H2, Msg));
+  Heap &H2 = P.Receiver;
+  Root Out(H2, H2.adoptDonatedGraph(Msg.Graph));
   Value OutW = pairCar(Out.get());
   Value OutA = pairCdr(Out.get());
   EXPECT_TRUE(H2.isWeakPair(OutW));
@@ -132,19 +154,47 @@ TEST(PinnedMessageTest, CyclesAndWeakPairsSurvive) {
 }
 
 TEST(PinnedMessageTest, NonTransferablePolicy) {
-  Heap H(testConfig());
+  HeapPair P;
+  Heap &H = P.Sender;
   Root Clo(H, H.makeClosure(Value::nil(), Value::nil(), Value::nil()));
   Root Top(H, H.cons(Value::fixnum(1), Clo));
 
-  PinnedMessage Msg;
-  EXPECT_FALSE(encodeMessage(H, Top.get(), Msg, TransferPolicy::Reject));
+  DonatedGraph Rejected = H.donateGraph(Top.get(), TransferPolicy::Reject);
+  EXPECT_EQ(Rejected.Domain, nullptr) << "nothing may be sent";
 
-  ASSERT_TRUE(encodeMessage(H, Top.get(), Msg, TransferPolicy::Sever));
-  EXPECT_EQ(Msg.SeveredEdges, 1u);
-  Heap H2(testConfig());
-  Root Out(H2, decodeMessage(H2, Msg));
+  PinnedMessage Msg;
+  Msg.Graph = H.donateGraph(Top.get(), TransferPolicy::Sever);
+  ASSERT_NE(Msg.Graph.Domain, nullptr);
+  EXPECT_EQ(Msg.Graph.SeveredEdges, 1u);
+  Root Out(P.Receiver, P.Receiver.adoptDonatedGraph(Msg.Graph));
   EXPECT_EQ(pairCar(Out.get()).asFixnum(), 1);
   EXPECT_TRUE(pairCdr(Out.get()).isFalse()) << "closure severed to #f";
+
+  // A non-transferable root severs to #f itself.
+  DonatedGraph Whole = H.donateGraph(Clo.get(), TransferPolicy::Sever);
+  EXPECT_EQ(Whole.SeveredEdges, 1u);
+  EXPECT_TRUE(P.Receiver.adoptDonatedGraph(Whole).isFalse());
+  EXPECT_EQ(H.donateGraph(Clo.get()).Domain, nullptr);
+}
+
+TEST(PinnedMessageTest, RejectReturnsPartialCopyToExchange) {
+  HeapPair P;
+  Heap &H = P.Sender;
+  // A 1,000-pair list whose last car is a guardian: the copy-out has
+  // taken several segments by the time it reaches it.
+  Root L(H, H.cons(H.makeGuardianObject(), Value::nil()));
+  for (int I = 0; I != 999; ++I)
+    L = H.cons(Value::fixnum(I), L);
+  const size_t Before = P.X.donatedSegmentsInUse();
+  DonatedGraph G = H.donateGraph(L.get(), TransferPolicy::Reject);
+  EXPECT_EQ(G.Domain, nullptr);
+  EXPECT_EQ(P.X.donatedSegmentsInUse(), Before)
+      << "a rejected donation frees every run it took";
+  EXPECT_EQ(H.graphsDonated(), 0u);
+  // The sender's graph is untouched and still donatable by severing.
+  DonatedGraph S = H.donateGraph(L.get(), TransferPolicy::Sever);
+  EXPECT_EQ(S.SeveredEdges, 1u);
+  EXPECT_GT(P.X.donatedSegmentsInUse(), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -153,7 +203,7 @@ TEST(PinnedMessageTest, NonTransferablePolicy) {
 
 PinnedMessage fixnumMessage(Heap &H, intptr_t N) {
   PinnedMessage Msg;
-  EXPECT_TRUE(encodeMessage(H, Value::fixnum(N), Msg));
+  Msg.Graph = H.donateGraph(Value::fixnum(N));
   return Msg;
 }
 
@@ -166,9 +216,9 @@ TEST(MailboxTest, FifoAndCapacity) {
   EXPECT_EQ(Box.stats().RejectedFull, 1u);
   PinnedMessage Out;
   ASSERT_TRUE(Box.tryReceive(Out));
-  EXPECT_EQ(decodeMessage(H, Out).asFixnum(), 1);
+  EXPECT_EQ(H.adoptDonatedGraph(Out.Graph).asFixnum(), 1);
   ASSERT_TRUE(Box.tryReceive(Out));
-  EXPECT_EQ(decodeMessage(H, Out).asFixnum(), 2);
+  EXPECT_EQ(H.adoptDonatedGraph(Out.Graph).asFixnum(), 2);
   EXPECT_FALSE(Box.tryReceive(Out));
   EXPECT_EQ(Box.stats().MaxDepth, 2u);
 }
@@ -185,7 +235,7 @@ TEST(MailboxTest, CloseRefusesSendsButDrainsQueue) {
   PinnedMessage Out;
   ASSERT_TRUE(Box.waitNonEmpty());
   ASSERT_TRUE(Box.tryReceive(Out));
-  EXPECT_EQ(decodeMessage(H, Out).asFixnum(), 1);
+  EXPECT_EQ(H.adoptDonatedGraph(Out.Graph).asFixnum(), 1);
   EXPECT_FALSE(Box.waitNonEmpty()) << "closed and drained";
 }
 
@@ -235,6 +285,57 @@ TEST(ShardRuntimeTest, CrossShardMessagesArriveDecoded) {
   ASSERT_EQ(Reports.size(), 2u);
   EXPECT_EQ(Reports[0].ExportsWatched, 10u);
   EXPECT_EQ(Reports[1].MessagesReceived, 10u);
+}
+
+TEST(ShardRuntimeTest, RefusedSendLeavesNoExport) {
+  SharedImmutableSpace X(16u * 1024 * 1024);
+  ShardRuntime::Config Cfg;
+  Cfg.ShardCount = 2;
+  Cfg.HeapCfg = testConfig();
+  Cfg.HeapCfg.Exchange = &X;
+  Cfg.MailboxCapacity = 1;
+  ShardRuntime RT(Cfg, nullptr);
+
+  // Park the receiver so its one-slot inbox stays full.
+  std::mutex M;
+  std::condition_variable Cv;
+  bool Parked = false, Release = false;
+  RT.shard(1).post([&](Shard &) {
+    std::unique_lock<std::mutex> Lock(M);
+    Parked = true;
+    Cv.notify_all();
+    Cv.wait(Lock, [&] { return Release; });
+  });
+  {
+    std::unique_lock<std::mutex> Lock(M);
+    Cv.wait(Lock, [&] { return Parked; });
+  }
+
+  size_t BeforeRefused = 0, AfterRefused = 0;
+  RT.shard(0).run([&](Shard &S) {
+    Heap &H = S.heap();
+    Root L(H, Value::nil());
+    for (int I = 0; I != 1000; ++I)
+      L = H.cons(Value::fixnum(I), L);
+    ASSERT_TRUE(S.sendValue(RT.shard(1), L.get()));
+    BeforeRefused = X.donatedSegmentsInUse();
+    EXPECT_FALSE(S.sendValue(RT.shard(1), L.get())) << "inbox full";
+    AfterRefused = X.donatedSegmentsInUse();
+  });
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Release = true;
+  }
+  Cv.notify_all();
+  RT.shutdown();
+
+  EXPECT_GT(BeforeRefused, 0u);
+  EXPECT_EQ(AfterRefused, BeforeRefused)
+      << "the refused message's segments went back to the exchange";
+  const Shard::Report &Sender = RT.reports()[0];
+  EXPECT_EQ(Sender.ExportsWatched, 1u) << "only the accepted send counts";
+  EXPECT_EQ(Sender.TransferDonatedSegments, BeforeRefused);
+  EXPECT_EQ(RT.reports()[1].MessagesReceived, 1u);
 }
 
 TEST(ShardRuntimeTest, MessagesQueuedAtShutdownAreNotLost) {

@@ -6,12 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime half of segment donation (DESIGN.md §14): threshold
-/// routing between deep copy and donation, receiver-semantics parity
-/// (a donated message must be indistinguishable from a deep-copied
-/// one: structure, sharing, cycles, weak-pair behavior, guardian
-/// resurrection order), and transport-guardian coverage of donated
-/// exports.
+/// The runtime half of segment donation (DESIGN.md §14): every payload,
+/// small or large, crosses shards by donation; the receiver sees the
+/// sender's graph exactly (structure, sharing, cycles, weak-pair
+/// behavior) and sender-side guardian resurrection order is
+/// undisturbed; donated exports are covered by the transport guardian.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +18,6 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "object/Layout.h"
-#include "runtime/SegmentTransfer.h"
 #include "runtime/Shard.h"
 
 #include <gtest/gtest.h>
@@ -37,17 +35,17 @@ using namespace gengc::runtime;
 
 namespace {
 
-HeapConfig shardConfig(uint64_t DonationThreshold) {
+HeapConfig shardConfig() {
   HeapConfig C;
   C.ArenaBytes = 64u * 1024 * 1024;
   C.AutoCollect = false;
-  C.DonationThresholdBytes = DonationThreshold;
   return C;
 }
 
 /// Canonical cycle-aware printout: identical graphs in different heaps
 /// print identically, and lost sharing or broken cycles change the
-/// back-reference labels. The parity oracle for donation vs deep copy.
+/// back-reference labels. The parity oracle between sender and
+/// receiver.
 void describeGraph(Heap &H, Value V, std::map<uintptr_t, int> &Seen,
                    int &Next, std::ostringstream &Out) {
   if (V.isFixnum()) {
@@ -127,8 +125,8 @@ struct SignatureLocal : ShardLocal {
   }
 };
 
-/// The record/vector/string/cycle/weak-pair specimen from the deep-copy
-/// tests, rebuilt identically for each transfer leg.
+/// A record/vector/string/cycle/weak-pair specimen covering every
+/// transferable kind.
 Value buildRichPayload(Heap &H) {
   Root Str(H, H.makeString("shared-chunk"));
   Root Vec(H, H.makeVector(4, Value::fixnum(0)));
@@ -149,12 +147,12 @@ Value buildRichPayload(Heap &H) {
   return Rec.get();
 }
 
-TEST(SegmentTransferTest, ThresholdRoutesLargePayloadsToDonation) {
+TEST(SegmentTransferTest, EveryPayloadTravelsByDonation) {
   std::mutex M;
   std::vector<std::string> Sigs;
   ShardRuntime::Config Cfg;
   Cfg.ShardCount = 2;
-  Cfg.HeapCfg = shardConfig(4096);
+  Cfg.HeapCfg = shardConfig();
   ShardRuntime RT(Cfg, [&](Shard &) {
     return std::make_unique<SignatureLocal>(&M, &Sigs);
   });
@@ -175,13 +173,13 @@ TEST(SegmentTransferTest, ThresholdRoutesLargePayloadsToDonation) {
 
   const auto &Reports = RT.reports();
   ASSERT_EQ(Reports.size(), 2u);
-  // 1000 pairs = 16000 bytes: donated. 1 pair = 16 bytes: deep copy.
-  EXPECT_GT(Reports[0].TransferDonatedSegments, 0u);
-  EXPECT_GE(Reports[0].TransferBytesZeroCopy, 16000u);
-  EXPECT_EQ(Reports[1].MessagesAdopted, 1u);
+  // 1000 pairs = 16000 bytes over four segments; 1 pair = one segment.
+  EXPECT_EQ(Reports[0].TransferDonatedSegments, 5u);
+  EXPECT_EQ(Reports[0].TransferBytesZeroCopy, 16016u);
+  EXPECT_EQ(Reports[1].MessagesAdopted, 2u);
   EXPECT_EQ(Reports[1].MessagesReceived, 2u);
-  EXPECT_GT(Reports[1].MessagesDecodedNodes, 0u)
-      << "the small payload still travels the deep-copy rails";
+  EXPECT_EQ(Reports[1].MessagesDecodedNodes, 0u)
+      << "no message is decoded node by node";
   EXPECT_EQ(Reports[0].ExportsWatched, 2u)
       << "donated sends are watched for shard exit like any export";
 
@@ -190,57 +188,37 @@ TEST(SegmentTransferTest, ThresholdRoutesLargePayloadsToDonation) {
   EXPECT_EQ(Sigs[1], SmallSig);
 }
 
-TEST(SegmentTransferTest, ReceiverSemanticsMatchDeepCopy) {
-  // One leg per transfer mechanism; everything else identical.
-  auto RunLeg = [](uint64_t Threshold, Shard::Report &SenderRep,
-                   Shard::Report &ReceiverRep, std::string &SenderSig,
-                   std::string &ReceivedSig) {
-    std::mutex M;
-    std::vector<std::string> Sigs;
-    ShardRuntime::Config Cfg;
-    Cfg.ShardCount = 2;
-    Cfg.HeapCfg = shardConfig(Threshold);
-    ShardRuntime RT(Cfg, [&](Shard &) {
-      return std::make_unique<SignatureLocal>(&M, &Sigs);
-    });
-    RT.shard(0).run([&](Shard &S) {
-      Heap &H = S.heap();
-      Root P(H, buildRichPayload(H));
-      SenderSig = graphSignature(H, P.get());
-      ASSERT_TRUE(S.sendValue(RT.shard(1), P.get()));
-      // Drop the export and collect: the watched value dies in the
-      // sender, so the transport guardian must surface it.
-      P = Value::nil();
-      H.collectFull();
-    });
-    RT.shutdown();
-    SenderRep = RT.reports()[0];
-    ReceiverRep = RT.reports()[1];
-    ASSERT_EQ(Sigs.size(), 1u);
-    ReceivedSig = Sigs[0];
-  };
+TEST(SegmentTransferTest, ReceiverSemanticsMatchSender) {
+  std::mutex M;
+  std::vector<std::string> Sigs;
+  ShardRuntime::Config Cfg;
+  Cfg.ShardCount = 2;
+  Cfg.HeapCfg = shardConfig();
+  ShardRuntime RT(Cfg, [&](Shard &) {
+    return std::make_unique<SignatureLocal>(&M, &Sigs);
+  });
+  std::string SenderSig;
+  RT.shard(0).run([&](Shard &S) {
+    Heap &H = S.heap();
+    Root P(H, buildRichPayload(H));
+    SenderSig = graphSignature(H, P.get());
+    ASSERT_TRUE(S.sendValue(RT.shard(1), P.get()));
+    // Drop the export and collect: the watched value dies in the
+    // sender, and the transport guardian drops a dead export silently.
+    P = Value::nil();
+    H.collectFull();
+  });
+  RT.shutdown();
+  const Shard::Report &Sender = RT.reports()[0];
+  const Shard::Report &Receiver = RT.reports()[1];
 
-  Shard::Report DonS, DonR, CopyS, CopyR;
-  std::string DonSent, DonRecv, CopySent, CopyRecv;
-  RunLeg(/*Threshold=*/1, DonS, DonR, DonSent, DonRecv);
-  RunLeg(/*Threshold=*/0, CopyS, CopyR, CopySent, CopyRecv);
-
-  EXPECT_GT(DonS.TransferDonatedSegments, 0u);
-  EXPECT_EQ(DonR.MessagesAdopted, 1u);
-  EXPECT_EQ(CopyS.TransferDonatedSegments, 0u);
-  EXPECT_EQ(CopyR.MessagesAdopted, 0u);
-
-  EXPECT_EQ(DonRecv, DonSent)
+  EXPECT_GT(Sender.TransferDonatedSegments, 0u);
+  EXPECT_EQ(Receiver.MessagesAdopted, 1u);
+  ASSERT_EQ(Sigs.size(), 1u);
+  EXPECT_EQ(Sigs[0], SenderSig)
       << "donation preserves structure, sharing, and cycles";
-  EXPECT_EQ(CopyRecv, CopySent);
-  EXPECT_EQ(DonRecv, CopyRecv)
-      << "a donated message is indistinguishable from a deep copy";
-
-  // Transport-guardian parity: the donated export is watched and its
-  // death observed exactly as on the deep-copy rails.
-  EXPECT_EQ(DonS.ExportsWatched, 1u);
-  EXPECT_EQ(DonS.ExportsWatched, CopyS.ExportsWatched);
-  EXPECT_EQ(DonS.ExportsMoved, CopyS.ExportsMoved);
+  EXPECT_EQ(Sender.ExportsWatched, 1u);
+  EXPECT_EQ(Sender.ExportsMoved, 0u);
 }
 
 /// Severs the only strong path to the weak car, collects, and counts
@@ -256,10 +234,9 @@ struct WeakBreakLocal : ShardLocal {
     Heap &H = S.heap();
     Root Top(H, V);
     H.setCdr(pairCdr(Top.get()), Value::nil()); // Sever B -> A.
-    // Two full collections: the first adopts/evacuates donated tenured
-    // runs into the private heap, weak processing breaks the car.
-    H.collectFull();
-    H.collectFull();
+    // The adopted graph is generation 0: a minor collection evacuates
+    // it into the private heap, and weak processing breaks the car.
+    H.collectMinor();
     if (pairCar(pairCar(Top.get())).isFalse())
       ++*Broken;
     else
@@ -268,70 +245,55 @@ struct WeakBreakLocal : ShardLocal {
 };
 
 TEST(SegmentTransferTest, WeakPairsBreakIdenticallyAcrossDonation) {
-  auto RunLeg = [](uint64_t Threshold, unsigned &BrokenOut) {
-    std::atomic<unsigned> Broken{0}, Survived{0};
-    ShardRuntime::Config Cfg;
-    Cfg.ShardCount = 2;
-    Cfg.HeapCfg = shardConfig(Threshold);
-    ShardRuntime RT(Cfg, [&](Shard &) {
-      return std::make_unique<WeakBreakLocal>(&Broken, &Survived);
-    });
-    RT.shard(0).run([&](Shard &S) {
-      Heap &H = S.heap();
-      Root A(H, H.cons(Value::fixnum(1), Value::nil()));
-      Root B(H, H.cons(Value::fixnum(2), A.get()));
-      Root W(H, H.weakCons(A.get(), Value::nil()));
-      Root Top(H, H.cons(W.get(), B.get()));
-      ASSERT_TRUE(S.sendValue(RT.shard(1), Top.get()));
-    });
-    RT.shutdown();
-    EXPECT_EQ(Broken.load() + Survived.load(), 1u);
-    if (Threshold == 1) {
-      EXPECT_GT(RT.reports()[1].MessagesAdopted, 0u)
-          << "the donation leg must actually exercise adoption";
-    }
-    BrokenOut = Broken.load();
-  };
-
-  unsigned DonationBroken = 0, CopyBroken = 0;
-  RunLeg(/*Threshold=*/1, DonationBroken);
-  RunLeg(/*Threshold=*/0, CopyBroken);
-  EXPECT_EQ(CopyBroken, 1u) << "deep copy: weak car breaks when A dies";
-  EXPECT_EQ(DonationBroken, CopyBroken)
-      << "weak pairs stay weak across donation: same break behavior";
+  std::atomic<unsigned> Broken{0}, Survived{0};
+  ShardRuntime::Config Cfg;
+  Cfg.ShardCount = 2;
+  Cfg.HeapCfg = shardConfig();
+  ShardRuntime RT(Cfg, [&](Shard &) {
+    return std::make_unique<WeakBreakLocal>(&Broken, &Survived);
+  });
+  RT.shard(0).run([&](Shard &S) {
+    Heap &H = S.heap();
+    Root A(H, H.cons(Value::fixnum(1), Value::nil()));
+    Root B(H, H.cons(Value::fixnum(2), A.get()));
+    Root W(H, H.weakCons(A.get(), Value::nil()));
+    Root Top(H, H.cons(W.get(), B.get()));
+    ASSERT_TRUE(S.sendValue(RT.shard(1), Top.get()));
+  });
+  RT.shutdown();
+  EXPECT_EQ(RT.reports()[1].MessagesAdopted, 1u);
+  EXPECT_EQ(Broken.load(), 1u)
+      << "weak pairs stay weak across donation: the car breaks when A "
+         "dies";
+  EXPECT_EQ(Survived.load(), 0u);
 }
 
-TEST(SegmentTransferTest, GuardianResurrectionOrderMatchesDeepCopy) {
+TEST(SegmentTransferTest, GuardianResurrectionOrderSurvivesDonation) {
   // Sender-side guardians protect each export; after the sends the
-  // exports die, and the resurrection order the guardian reports must
-  // not depend on the transfer mechanism.
-  auto RunLeg = [](uint64_t Threshold, std::vector<intptr_t> &Order) {
-    ShardRuntime::Config Cfg;
-    Cfg.ShardCount = 2;
-    Cfg.HeapCfg = shardConfig(Threshold);
-    ShardRuntime RT(Cfg, nullptr);
-    RT.shard(0).run([&](Shard &S) {
-      Heap &H = S.heap();
-      Guardian G(H);
-      for (int I = 0; I != 3; ++I) {
-        Root R(H, H.makeRecord(H.intern("order-tag"), 2,
-                               Value::fixnum((I + 1) * 10)));
-        G.protect(R.get());
-        ASSERT_TRUE(S.sendValue(RT.shard(1), R.get()));
-        // Root drops here: the guardian is the only finder.
-      }
-      H.collectFull();
-      for (Value V = G.retrieve(); !V.isFalse(); V = G.retrieve())
-        Order.push_back(objectField(V, 1).asFixnum());
-    });
-    RT.shutdown();
-  };
-
-  std::vector<intptr_t> DonationOrder, CopyOrder;
-  RunLeg(/*Threshold=*/1, DonationOrder);
-  RunLeg(/*Threshold=*/0, CopyOrder);
-  ASSERT_EQ(CopyOrder.size(), 3u);
-  EXPECT_EQ(DonationOrder, CopyOrder)
+  // exports die, and the guardian must resurrect them in registration
+  // order, exactly as when nothing is sent.
+  std::vector<intptr_t> Order;
+  ShardRuntime::Config Cfg;
+  Cfg.ShardCount = 2;
+  Cfg.HeapCfg = shardConfig();
+  ShardRuntime RT(Cfg, nullptr);
+  RT.shard(0).run([&](Shard &S) {
+    Heap &H = S.heap();
+    Guardian G(H);
+    for (int I = 0; I != 3; ++I) {
+      Root R(H, H.makeRecord(H.intern("order-tag"), 2,
+                             Value::fixnum((I + 1) * 10)));
+      G.protect(R.get());
+      ASSERT_TRUE(S.sendValue(RT.shard(1), R.get()));
+      // Root drops here: the guardian is the only finder.
+    }
+    H.collectFull();
+    for (Value V = G.retrieve(); !V.isFalse(); V = G.retrieve())
+      Order.push_back(objectField(V, 1).asFixnum());
+  });
+  RT.shutdown();
+  EXPECT_EQ(RT.reports()[1].MessagesAdopted, 3u);
+  EXPECT_EQ(Order, (std::vector<intptr_t>{10, 20, 30}))
       << "donation must not perturb guardian resurrection order";
 }
 

@@ -11,7 +11,7 @@
 /// guarded resources — ports (Section 3), guarded hash tables
 /// (Figure 1), pooled bitmaps and external memory (Section 6's
 /// "locatives and weak pairs won't do this" use cases) — while shards
-/// exchange deep-copied messages and the FinalizationExecutor runs
+/// exchange donated messages and the FinalizationExecutor runs
 /// every clean-up action off the mutator threads.
 ///
 /// At exit the driver audits the books: every port opened was closed,
@@ -87,7 +87,6 @@ struct Options {
   unsigned FailRatePct = 0; ///< Transient ticket-failure injection.
   bool Scoped = false;      ///< Run each session inside a request scope.
   size_t PayloadBytes = 0;  ///< Bulk payload attached to each message.
-  bool Donate = false;      ///< Enable zero-copy segment donation sends.
   std::string JsonPath;     ///< Google-Benchmark-format output file.
   std::string TracePath;    ///< Merged fleet Chrome trace output.
   std::string ProfilePath;  ///< Collapsed allocation-site stacks output.
@@ -99,7 +98,7 @@ void usage(const char *Argv0) {
                "usage: %s [--shards N] [--sessions N] [--ops N] [--seed N]\n"
                "          [--think-time-us N] [--fail-rate PCT]\n"
                "          [--scoped] [--json PATH]\n"
-               "          [--payload-bytes N] [--donate on|off]\n"
+               "          [--payload-bytes N]\n"
                "          [--trace PATH] [--profile PATH]\n"
                "          [--slo-max-pause-us N] [--slo-pause-p99-us N]\n"
                "          [--slo-op-p99-us N] [--slo-mmu-floor-pct N]\n",
@@ -132,14 +131,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
       Opt.Scoped = true;
     else if (Arg == "--payload-bytes" && NextInt(V))
       Opt.PayloadBytes = V;
-    else if (Arg == "--donate" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode != "on" && Mode != "off") {
-        usage(Argv[0]);
-        return false;
-      }
-      Opt.Donate = Mode == "on";
-    } else if (Arg == "--json" && I + 1 < Argc)
+    else if (Arg == "--json" && I + 1 < Argc)
       Opt.JsonPath = Argv[++I];
     else if (Arg == "--trace" && I + 1 < Argc)
       Opt.TracePath = Argv[++I];
@@ -353,8 +345,8 @@ struct World : ShardLocal {
                                    next() % 4096))));
       if (Opt.PayloadBytes) {
         // Bulk payload: a fixnum list sized to --payload-bytes (one
-        // pair is two words), so the transfer path sees graphs on
-        // either side of the donation threshold.
+        // pair is two words), so the transfer path sees graphs that
+        // span many segments.
         const size_t Cells = Opt.PayloadBytes / (2 * sizeof(uintptr_t));
         for (size_t P = 0; P != Cells; ++P)
           Msg = H.cons(Value::fixnum(static_cast<intptr_t>(P)), Msg.get());
@@ -449,11 +441,6 @@ int main(int Argc, char **Argv) {
   // generational machinery (and its pauses) actually exercise under
   // load instead of deferring everything to the shutdown collections.
   Cfg.HeapCfg.Gen0CollectBytes = 64u * 1024;
-  // Zero-copy donation: any message graph of at least one segment's worth
-  // of payload is donated instead of deep-copied (0 keeps donation off,
-  // which is the deep-copy A leg of a --donate A/B pair).
-  if (Opt.Donate)
-    Cfg.HeapCfg.DonationThresholdBytes = 4096;
   Cfg.MailboxCapacity = 128;
   Cfg.ExecutorCfg.BaseBackoff = std::chrono::microseconds(200);
   if (!Opt.TracePath.empty()) {
@@ -665,7 +652,7 @@ int main(int Argc, char **Argv) {
                           static_cast<double>(ScopeAgg.BytesInScopes)
                     : 0.0,
                 static_cast<unsigned long long>(ScopeAgg.ObjectsEvacuated));
-  if (Opt.Donate || DonatedSegs)
+  if (DonatedSegs)
     std::printf("loadgen: transfer: %llu segments donated (%.1f MB "
                 "zero-copy), %llu messages adopted\n",
                 static_cast<unsigned long long>(DonatedSegs),
@@ -718,7 +705,7 @@ int main(int Argc, char **Argv) {
         "              \"sessions_per_shard\": %zu, \"ops_per_session\": %zu,\n"
         "              \"seed\": %llu, \"think_time_us\": %u,\n"
         "              \"fail_rate_pct\": %u, \"scoped\": %d,\n"
-        "              \"payload_bytes\": %zu, \"donate\": %d},\n"
+        "              \"payload_bytes\": %zu},\n"
         "  \"benchmarks\": [\n"
         "    {\"name\": \"loadgen/shards:%zu\", \"run_type\": \"iteration\",\n"
         "     \"iterations\": 1, \"real_time\": %.0f, \"cpu_time\": %.0f,\n"
@@ -754,8 +741,8 @@ int main(int Argc, char **Argv) {
         "}\n",
         Opt.Shards, Opt.Sessions, Opt.Ops,
         static_cast<unsigned long long>(Opt.Seed), Opt.ThinkTimeUs,
-        Opt.FailRatePct, Opt.Scoped ? 1 : 0, Opt.PayloadBytes,
-        Opt.Donate ? 1 : 0, Opt.Shards, RealNs, RealNs,
+        Opt.FailRatePct, Opt.Scoped ? 1 : 0, Opt.PayloadBytes, Opt.Shards,
+        RealNs, RealNs,
         static_cast<unsigned long long>(TotalOps), Throughput,
         static_cast<unsigned long long>(Fleet.Combined.Collections),
         static_cast<unsigned long long>(Fleet.Combined.FullCollections),
