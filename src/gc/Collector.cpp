@@ -7,8 +7,6 @@
 
 #include "gc/Collector.h"
 
-#include <cstring>
-
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
 #include "gc/Tconc.h"
@@ -57,14 +55,8 @@ void Collector::run(unsigned G) {
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
       for (unsigned Gen = 0; Gen <= T; ++Gen)
         for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-          SpaceContext &Ctx = H.Contexts[Sp][Gen][Age];
-          if (Ctx.runs().empty()) {
-            Cursors[Sp][Gen][Age] = SweepCursor{0, 0};
-          } else {
-            size_t Last = Ctx.runs().size() - 1;
-            Cursors[Sp][Gen][Age] =
-                SweepCursor{Last, Ctx.usedWordsOf(H.Segments, Last)};
-          }
+          Cursors[Sp][Gen][Age] =
+              walkFrontier(H.Segments, H.Contexts[Sp][Gen][Age]);
           if (Sp == static_cast<unsigned>(SpaceKind::WeakPair))
             WeakScanStarts[Gen][Age] = Cursors[Sp][Gen][Age];
         }
@@ -182,80 +174,54 @@ void Collector::run(unsigned G) {
 //===----------------------------------------------------------------------===//
 
 void Collector::detachFromSpace(unsigned G) {
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    for (unsigned I = 0; I <= G; ++I) {
-      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-        std::vector<SegmentRun> Runs =
-            H.Contexts[Sp][I][Age].takeRuns(H.Segments);
-        for (const SegmentRun &R : Runs) {
-          for (uint32_t Seg = R.FirstSegment;
-               Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-            H.Segments.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-          // takeRuns sealed every run, so UsedWords is the occupied
-          // extent; the sum is the denominator of this collection's
-          // survival rate.
-          S.BytesInFromSpace +=
-              static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-        }
-        FromRuns[Sp].insert(FromRuns[Sp].end(), Runs.begin(), Runs.end());
-      }
-    }
-  }
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    for (unsigned I = 0; I <= G; ++I)
+      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
+        addFromSpace(H.Segments, H.Contexts[Sp][I][Age].takeRuns(H.Segments),
+                     FromRuns[Sp]);
 
   // Adopted donation runs live in the exchange arena, tagged with
   // generation 0: every collection evacuates their survivors into the
   // private arena like any other young objects, after which the
   // exchange segments are returned to the process pool.
   Arena &EA = H.Exchange->arena();
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    for (const SegmentRun &R : H.AdoptedRuns[Sp]) {
-      for (uint32_t Seg = R.FirstSegment;
-           Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-        EA.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-      S.BytesInFromSpace +=
-          static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-    }
-    FromExchangeRuns[Sp].insert(FromExchangeRuns[Sp].end(),
-                                H.AdoptedRuns[Sp].begin(),
-                                H.AdoptedRuns[Sp].end());
-    H.AdoptedRuns[Sp].clear();
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    addFromSpace(EA, H.AdoptedRuns[Sp].takeRuns(EA), FromExchangeRuns[Sp]);
+}
+
+void Collector::addFromSpace(Arena &A, const std::vector<SegmentRun> &Runs,
+                             std::vector<SegmentRun> &Dst) {
+  for (const SegmentRun &R : Runs) {
+    for (uint32_t Seg = R.FirstSegment;
+         Seg != R.FirstSegment + R.SegmentCount; ++Seg)
+      A.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
+    // Detached runs are sealed, so UsedWords is the occupied extent; the
+    // sum is the denominator of this collection's survival rate.
+    S.BytesInFromSpace +=
+        static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
   }
+  Dst.insert(Dst.end(), Runs.begin(), Runs.end());
 }
 
 void Collector::freeFromSpace() {
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-    for (const SegmentRun &R : FromRuns[Sp]) {
-      if (H.Cfg.PoisonFromSpace) {
-        // Overwrite the evacuated run so any stale pointer into it reads
-        // the poison pattern (an invalid Value tag and an unmapped
-        // address when dereferenced) instead of plausible dead objects.
-        // rootcheck:allow(segment-base) — collector owns from-space.
-        uintptr_t *Base = H.Segments.segmentBase(R.FirstSegment);
-        const size_t RunWords =
-            static_cast<size_t>(R.SegmentCount) * SegmentWords;
-        for (size_t I = 0; I != RunWords; ++I)
-          Base[I] = FromSpacePoisonPattern;
-      }
-      H.Segments.freeRun(R.FirstSegment, R.SegmentCount);
-      S.SegmentsFreed += R.SegmentCount;
-    }
-
+  freeRuns(H.Segments, FromRuns);
   // Evacuated exchange-arena runs (adopted donations taken by
   // detachFromSpace, or a closing donation scope's segments) go back to
   // the process-wide pool; Arena::freeRun is internally locked, so this
   // is safe against other shards allocating donation segments.
-  Arena &EA = H.Exchange->arena();
+  freeRuns(H.Exchange->arena(), FromExchangeRuns);
+}
+
+void Collector::freeRuns(Arena &A,
+                         const std::vector<SegmentRun> (&Runs)[NumSpaces]) {
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-    for (const SegmentRun &R : FromExchangeRuns[Sp]) {
-      if (H.Cfg.PoisonFromSpace) {
-        // rootcheck:allow(segment-base) — collector owns from-space.
-        uintptr_t *Base = EA.segmentBase(R.FirstSegment);
-        const size_t RunWords =
-            static_cast<size_t>(R.SegmentCount) * SegmentWords;
-        for (size_t I = 0; I != RunWords; ++I)
-          Base[I] = FromSpacePoisonPattern;
-      }
-      EA.freeRun(R.FirstSegment, R.SegmentCount);
+    for (const SegmentRun &R : Runs[Sp]) {
+      // Overwrite the evacuated run so any stale pointer into it reads
+      // the poison pattern (an invalid Value tag and an unmapped address
+      // when dereferenced) instead of plausible dead objects.
+      if (H.Cfg.PoisonFromSpace)
+        A.fillRun(R.FirstSegment, R.SegmentCount, FromSpacePoisonPattern);
+      A.freeRun(R.FirstSegment, R.SegmentCount);
       S.SegmentsFreed += R.SegmentCount;
     }
 }
@@ -289,6 +255,10 @@ Value Collector::forward(Value V) {
   if (!Info.isFromSpace())
     return V;
 
+  uintptr_t *Old = objectStart(V);
+  if (hasForwardMarker(V))
+    return Value::fromBits(Old[1]);
+
   // A scope close targets the enclosing extent, not the generation
   // ladder; graduation is not a promotion.
   unsigned NewGen = 0, NewAge = 0;
@@ -298,44 +268,19 @@ Value Collector::forward(Value V) {
     Promoted = NewGen > Info.Generation ? 1 : 0;
   }
 
-  if (V.isPair()) {
-    PairCell *Cell = V.pairCell();
-    if (Value::fromBits(Cell->Car).isForwardMarker())
-      return Value::fromBits(Cell->Cdr);
-    // Copy, preserving the pair's space (ordinary vs. weak).
-    uintptr_t *NewCell =
-        ClosingScope ? scopeAllocate(Info.Space, 2)
-                     : H.allocateInGeneration(Info.Space, NewGen, NewAge, 2);
-    NewCell[0] = Cell->Car;
-    NewCell[1] = Cell->Cdr;
-    Value NewV = Value::pair(reinterpret_cast<PairCell *>(NewCell));
-    Cell->Car = Value::forwardMarker().bits();
-    Cell->Cdr = NewV.bits();
-    ++S.ObjectsCopied;
-    S.BytesCopied += 2 * sizeof(uintptr_t);
-    S.ObjectsPromoted += Promoted;
-    if (H.ForwardWitness)
-      H.ForwardWitness(H.ForwardWitnessCtx, V.bits(), NewV.bits());
-    return NewV;
-  }
-
-  uintptr_t *Header = V.objectHeader();
-  if (headerKind(*Header) == ObjectKind::Forward)
-    return Value::fromBits(Header[1]);
-  const size_t Words = objectSizeInWords(*Header);
-  const size_t AllocWords = objectAllocWords(*Header);
-  uintptr_t *NewObj =
-      ClosingScope
-          ? scopeAllocate(Info.Space, AllocWords)
-          : H.allocateInGeneration(Info.Space, NewGen, NewAge, AllocWords);
-  std::memcpy(NewObj, Header, Words * sizeof(uintptr_t));
-  if (AllocWords > Words)
-    NewObj[Words] = 0; // Deterministic padding for the verifier.
-  Value NewV = Value::object(NewObj);
-  Header[0] = makeHeader(ObjectKind::Forward, 0);
-  Header[1] = NewV.bits();
+  // Copy, preserving the object's space (ordinary vs. weak pairs).
+  size_t Words = 0;
+  uintptr_t *New = copyObject(Old, Info.Space, [&](size_t W) {
+    Words = W;
+    return ClosingScope ? scopeAllocate(Info.Space, W)
+                        : H.allocateInGeneration(Info.Space, NewGen, NewAge, W);
+  });
+  Value NewV = objectValueAt(New, Info.Space);
+  Old[0] = V.isPair() ? Value::forwardMarker().bits()
+                      : makeHeader(ObjectKind::Forward, 0);
+  Old[1] = NewV.bits();
   ++S.ObjectsCopied;
-  S.BytesCopied += AllocWords * sizeof(uintptr_t);
+  S.BytesCopied += Words * sizeof(uintptr_t);
   S.ObjectsPromoted += Promoted;
   if (H.ForwardWitness)
     H.ForwardWitness(H.ForwardWitnessCtx, V.bits(), NewV.bits());
@@ -368,28 +313,16 @@ void Collector::sweepAllocProfiler() {
 bool Collector::isForwarded(Value V) const {
   if (!V.isHeapPointer())
     return true;
-  const SegmentInfo &Info = H.segInfo(V.heapAddress());
-  if (!Info.isFromSpace())
-    return true;
-  if (V.isPair())
-    return Value::fromBits(V.pairCell()->Car).isForwardMarker();
-  return headerKind(*V.objectHeader()) == ObjectKind::Forward;
+  return !H.segInfo(V.heapAddress()).isFromSpace() || hasForwardMarker(V);
 }
 
 Value Collector::forwardedAddress(Value V) const {
   if (!V.isHeapPointer())
     return V;
-  const SegmentInfo &Info = H.segInfo(V.heapAddress());
-  if (!Info.isFromSpace())
+  if (!H.segInfo(V.heapAddress()).isFromSpace())
     return V;
-  if (V.isPair()) {
-    GENGC_ASSERT(Value::fromBits(V.pairCell()->Car).isForwardMarker(),
-                 "get-fwd-addr on unforwarded pair");
-    return Value::fromBits(V.pairCell()->Cdr);
-  }
-  GENGC_ASSERT(headerKind(*V.objectHeader()) == ObjectKind::Forward,
-               "get-fwd-addr on unforwarded object");
-  return Value::fromBits(V.objectHeader()[1]);
+  GENGC_ASSERT(hasForwardMarker(V), "get-fwd-addr on unforwarded object");
+  return Value::fromBits(objectStart(V)[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -430,52 +363,29 @@ void Collector::processRememberedSets(unsigned G) {
     std::vector<uintptr_t> Snapshot = H.Remembered[I].takeSnapshot();
     H.Remembered[I].clear();
     for (uintptr_t Bits : Snapshot) {
-      Value Container = Value::fromBits(Bits);
-      forwardRememberedObject(Container);
       ++S.RememberedObjectsScanned;
-      if (pointsBelowGeneration(Container, I))
+      if (forwardRememberedObject(Value::fromBits(Bits), I))
         H.Remembered[I].insert(Bits);
     }
   }
 }
 
-void Collector::forwardRememberedObject(Value Container) {
-  if (Container.isPair()) {
-    PairCell *Cell = Container.pairCell();
-    // A weak pair's car is weak and handled by the weak-pair pass; only
-    // its cdr is a strong pointer.
-    if (H.segInfo(Container.heapAddress()).Space != SpaceKind::WeakPair)
-      forwardWord(&Cell->Car);
-    forwardWord(&Cell->Cdr);
-    return;
-  }
-  uintptr_t *Header = Container.objectHeader();
-  const size_t Fields = objectPointerFieldCount(*Header);
-  for (size_t I = 0; I != Fields; ++I)
-    forwardWord(Header + 1 + I);
-}
-
-bool Collector::pointsBelowGeneration(Value Container,
-                                      unsigned Generation) const {
-  auto Below = [&](uintptr_t Bits) {
-    Value V = Value::fromBits(Bits);
-    // SharedGeneration (0xFF) never compares below: shared values need
-    // no remembered entries.
-    return V.isHeapPointer() &&
-           H.segInfo(V.heapAddress()).Generation < Generation;
-  };
-  if (Container.isPair()) {
-    PairCell *Cell = Container.pairCell();
-    bool Weak =
-        H.segInfo(Container.heapAddress()).Space == SpaceKind::WeakPair;
-    return (!Weak && Below(Cell->Car)) || Below(Cell->Cdr);
-  }
-  uintptr_t *Header = Container.objectHeader();
-  const size_t Fields = objectPointerFieldCount(*Header);
-  for (size_t I = 0; I != Fields; ++I)
-    if (Below(Header[1 + I]))
-      return true;
-  return false;
+bool Collector::forwardRememberedObject(Value Container,
+                                        unsigned Generation) {
+  // A weak pair's car is weak and handled by the weak-pair pass; only
+  // its cdr is a strong pointer. SharedGeneration (0xFF) never compares
+  // below: shared values need no remembered entries.
+  bool Below = false;
+  forEachSlot(objectStart(Container), H.segInfo(Container.heapAddress()).Space,
+              [&](uintptr_t *Slot, bool WeakCar) {
+                if (WeakCar)
+                  return;
+                forwardWord(Slot);
+                const Value F = Value::fromBits(*Slot);
+                Below |= F.isHeapPointer() &&
+                         H.segInfo(F.heapAddress()).Generation < Generation;
+              });
+  return Below;
 }
 
 //===----------------------------------------------------------------------===//
@@ -503,96 +413,42 @@ void Collector::kleeneSweep() {
   while (Progress) {
     Progress = false;
     for (unsigned Gen = 0; Gen <= T; ++Gen)
-      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-        Progress |= sweepContext(SpaceKind::Pair, Gen, Age);
-        Progress |= sweepContext(SpaceKind::Typed, Gen, Age);
-        Progress |= sweepContext(SpaceKind::WeakPair, Gen, Age);
+      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
         // The data space is pointerless; nothing to sweep.
-      }
+        for (SpaceKind Space :
+             {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
+          const unsigned Sp = static_cast<unsigned>(Space);
+          Progress |= sweepRange(H.Segments, H.Contexts[Sp][Gen][Age],
+                                 Cursors[Sp][Gen][Age], Space, Gen);
+        }
   }
 }
 
-bool Collector::sweepContext(SpaceKind Space, unsigned Gen, unsigned Age) {
-  const unsigned Sp = static_cast<unsigned>(Space);
-  return sweepRange(H.Segments, H.Contexts[Sp][Gen][Age],
-                    Cursors[Sp][Gen][Age], Space, Gen);
-}
-
-bool Collector::sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
+bool Collector::sweepRange(Arena &A, SpaceContext &Ctx, WalkCursor &Cur,
                            SpaceKind Space, unsigned ContainerGen) {
-  bool Progress = false;
-
-  while (true) {
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    if (Cur.RunIndex >= Runs.size())
-      break;
-    const size_t Used = Ctx.usedWordsOf(A, Cur.RunIndex);
-    if (Cur.OffsetWords >= Used) {
-      if (Cur.RunIndex + 1 < Runs.size()) {
-        ++Cur.RunIndex;
-        Cur.OffsetWords = 0;
-        continue;
-      }
-      break; // Caught up with the allocation frontier.
-    }
-    // rootcheck:allow(segment-base) — the Cheney sweep is the allocation
-    // walk itself.
-    uintptr_t *P = A.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-                   Cur.OffsetWords;
-    if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      sweepPairAt(P, Space == SpaceKind::WeakPair, ContainerGen);
-      Cur.OffsetWords += 2;
-    } else {
-      sweepTypedAt(P, ContainerGen);
-      Cur.OffsetWords += objectAllocWords(*P);
-    }
-    Progress = true;
-  }
-  return Progress;
+  return walkObjects(A, Ctx, Space, Cur, [&](uintptr_t *P) {
+           sweepObject(P, Space, ContainerGen);
+         }) != 0;
 }
 
-void Collector::maybeReRemember(uintptr_t ContainerBits,
-                                unsigned ContainerGen,
-                                uintptr_t FieldBits) {
-  // Only tenure policies > 1 can leave a survivor in a generation older
-  // than something it points to; the paper's simple strategy never
-  // does, so the check is skipped entirely then.
-  if (ContainerGen == 0)
-    return;
-  Value Field = Value::fromBits(FieldBits);
-  if (!Field.isHeapPointer())
-    return;
-  if (H.segInfo(Field.heapAddress()).Generation < ContainerGen)
-    H.Remembered[ContainerGen].insert(ContainerBits);
-}
-
-void Collector::sweepPairAt(uintptr_t *Cell, bool Weak,
+void Collector::sweepObject(uintptr_t *P, SpaceKind Space,
                             unsigned ContainerGen) {
-  // "When pairs found in the weak-pair space are traced during the
-  // normal garbage collection, they are treated like normal pairs
-  // except that the car field is not touched."
-  if (!Weak)
-    forwardWord(&Cell[0]);
-  forwardWord(&Cell[1]);
-  if (H.Cfg.TenureCopies > 1) {
-    Value Pair = Value::pair(reinterpret_cast<PairCell *>(Cell));
-    if (!Weak)
-      maybeReRemember(Pair.bits(), ContainerGen, Cell[0]);
-    maybeReRemember(Pair.bits(), ContainerGen, Cell[1]);
-  }
-}
-
-void Collector::sweepTypedAt(uintptr_t *Header, unsigned ContainerGen) {
-  GENGC_ASSERT(headerKind(*Header) != ObjectKind::Forward,
-               "forwarding marker found in to-space");
-  const size_t Fields = objectPointerFieldCount(*Header);
-  for (size_t I = 0; I != Fields; ++I)
-    forwardWord(Header + 1 + I);
-  if (H.Cfg.TenureCopies > 1) {
-    Value Obj = Value::object(Header);
-    for (size_t I = 0; I != Fields; ++I)
-      maybeReRemember(Obj.bits(), ContainerGen, Header[1 + I]);
-  }
+  // Only tenure policies > 1 can leave a survivor in a generation older
+  // than something it points to, which must then be re-remembered; the
+  // paper's simple strategy never does.
+  const bool ReRemember = H.Cfg.TenureCopies > 1 && ContainerGen != 0;
+  forEachSlot(P, Space, [&](uintptr_t *Slot, bool WeakCar) {
+    // "When pairs found in the weak-pair space are traced during the
+    // normal garbage collection, they are treated like normal pairs
+    // except that the car field is not touched."
+    if (WeakCar)
+      return;
+    forwardWord(Slot);
+    const Value F = Value::fromBits(*Slot);
+    if (ReRemember && F.isHeapPointer() &&
+        H.segInfo(F.heapAddress()).Generation < ContainerGen)
+      H.Remembered[ContainerGen].insert(objectValueAt(P, Space).bits());
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -810,32 +666,10 @@ void Collector::weakPairPass(unsigned G) {
   // (a) Weak pairs copied during this collection, in every to-space
   // context.
   const unsigned Sp = static_cast<unsigned>(SpaceKind::WeakPair);
-  for (unsigned Gen = 0; Gen <= T; ++Gen) {
-    for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-      SpaceContext &Ctx = H.Contexts[Sp][Gen][Age];
-      SweepCursor Cur = WeakScanStarts[Gen][Age];
-      while (true) {
-        const std::vector<SegmentRun> &Runs = Ctx.runs();
-        if (Cur.RunIndex >= Runs.size())
-          break;
-        const size_t Used = Ctx.usedWordsOf(H.Segments, Cur.RunIndex);
-        if (Cur.OffsetWords >= Used) {
-          if (Cur.RunIndex + 1 < Runs.size()) {
-            ++Cur.RunIndex;
-            Cur.OffsetWords = 0;
-            continue;
-          }
-          break;
-        }
-        // rootcheck:allow(segment-base) — weak pass replays the sweep walk.
-        uintptr_t *Cell =
-            H.Segments.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-            Cur.OffsetWords;
-        fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(Cell)));
-        Cur.OffsetWords += 2;
-      }
-    }
-  }
+  for (unsigned Gen = 0; Gen <= T; ++Gen)
+    for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
+      fixWeakCars(H.Segments, H.Contexts[Sp][Gen][Age],
+                  WeakScanStarts[Gen][Age]);
 
   // (b) Older weak pairs whose car was mutated to point at a younger
   // generation. Only these can reference the from-space, so the pass
@@ -861,19 +695,15 @@ void Collector::weakPairPass(unsigned G) {
 
 void Collector::scopeWeakContextPass() {
   const unsigned Sp = static_cast<unsigned>(SpaceKind::WeakPair);
-  for (auto &SG : H.ScopeStack) {
-    Arena &A = *SG->ScopeArena;
-    SpaceContext &Ctx = SG->Contexts[Sp];
-    Ctx.sealCurrentRun(A);
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    for (size_t R = 0; R != Runs.size(); ++R) {
-      // rootcheck:allow(segment-base) — replays the scope's bump walk.
-      uintptr_t *Base = A.segmentBase(Runs[R].FirstSegment);
-      const size_t Used = Ctx.usedWordsOf(A, R);
-      for (size_t Off = 0; Off != Used; Off += 2)
-        fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(Base + Off)));
-    }
-  }
+  for (auto &SG : H.ScopeStack)
+    fixWeakCars(*SG->ScopeArena, SG->Contexts[Sp], WalkCursor{});
+}
+
+void Collector::fixWeakCars(Arena &A, const SpaceContext &Ctx,
+                            WalkCursor Cur) {
+  walkObjects(A, Ctx, SpaceKind::WeakPair, Cur, [&](uintptr_t *Cell) {
+    fixWeakCar(objectValueAt(Cell, SpaceKind::WeakPair));
+  });
 }
 
 void Collector::scanOpenScopes() {
@@ -887,7 +717,7 @@ void Collector::scanOpenScopes() {
     for (SpaceKind Space :
          {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
       const unsigned Sp = static_cast<unsigned>(Space);
-      SweepCursor Cur{0, 0};
+      WalkCursor Cur;
       sweepRange(*SG->ScopeArena, SG->Contexts[Sp], Cur, Space,
                  /*ContainerGen=*/0);
     }
@@ -899,17 +729,11 @@ void Collector::fixupScopeEscapes() {
     for (PtrHashSet *Set : {&SG->Escapes, &SG->WeakEscapes}) {
       std::vector<uintptr_t> Snapshot = Set->takeSnapshot();
       Set->clear();
-      for (uintptr_t Bits : Snapshot) {
-        Value C = Value::fromBits(Bits);
-        const SegmentInfo &Info = H.segInfo(C.heapAddress());
-        if (!Info.isFromSpace()) {
-          Set->insert(Bits);
-        } else if (isForwarded(C)) {
-          Set->insert(forwardedAddress(C).bits());
-        }
-        // Dead containers drop out: whatever escape they recorded died
-        // with them.
-      }
+      // Dead containers drop out: whatever escape they recorded died
+      // with them.
+      for (uintptr_t Bits : Snapshot)
+        if (isForwarded(Value::fromBits(Bits)))
+          Set->insert(forwardedAddress(Value::fromBits(Bits)).bits());
     }
   }
 }
@@ -955,11 +779,6 @@ void Collector::updateSymbolTable() {
   // died; update entries whose symbol moved.
   for (auto It = H.SymbolTable.begin(); It != H.SymbolTable.end();) {
     Value Sym = Value::fromBits(It->second);
-    const SegmentInfo &Info = H.segInfo(Sym.heapAddress());
-    if (!Info.isFromSpace()) {
-      ++It;
-      continue;
-    }
     if (isForwarded(Sym)) {
       It->second = forwardedAddress(Sym).bits();
       ++It;

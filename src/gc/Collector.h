@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "gc/Heap.h"
+#include "heap/ObjectWalk.h"
 
 namespace gengc {
 
@@ -65,12 +66,6 @@ public:
   void runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out);
 
 private:
-  /// Position within a SpaceContext's run list, in allocation order.
-  struct SweepCursor {
-    size_t RunIndex = 0;
-    size_t OffsetWords = 0;
-  };
-
   //===--- Copying --------------------------------------------------------===//
 
   /// The paper's forward(obj): copies a from-space object to its target
@@ -94,6 +89,15 @@ private:
   /// object itself when it was not subject to collection.
   Value forwardedAddress(Value V) const;
 
+  /// True if from-space object \p V was copied: a pair's car then holds
+  /// Value::forwardMarker(), a typed object's header ObjectKind::Forward,
+  /// and the word after the marker holds the new location.
+  static bool hasForwardMarker(Value V) {
+    const uintptr_t First = *objectStart(V);
+    return V.isPair() ? Value::fromBits(First).isForwardMarker()
+                      : headerKind(First) == ObjectKind::Forward;
+  }
+
   /// Survival sweep of the allocation-site profiler's sampled-object
   /// table: forwarded samples have their bits updated and credit
   /// SurvivedBytes, dead ones credit DeadBytes and leave the table.
@@ -112,34 +116,38 @@ private:
   /// until there are no newly copied objects to sweep", over every
   /// to-space context.
   void kleeneSweep();
-  /// Sweeps one (space, generation, age) context from its cursor to the
-  /// allocation frontier. Returns true if any object was processed.
-  bool sweepContext(SpaceKind Space, unsigned Gen, unsigned Age);
-  /// The shared walk under sweepContext: sweeps \p Ctx from \p Cur to
-  /// its allocation frontier. Also used for the scope-close targets and
-  /// the open-scope root scan, which sweep contexts outside the
-  /// Contexts[][][] array.
-  bool sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
+  /// The Cheney scan: sweeps \p Ctx from \p Cur to its allocation
+  /// frontier. Returns true if any object was processed. Also used for
+  /// the scope-close targets and the open-scope root scan.
+  bool sweepRange(Arena &A, SpaceContext &Ctx, WalkCursor &Cur,
                   SpaceKind Space, unsigned ContainerGen);
-  void sweepPairAt(uintptr_t *Cell, bool Weak, unsigned ContainerGen);
-  void sweepTypedAt(uintptr_t *Header, unsigned ContainerGen);
-  /// Re-records \p Container in the remembered set if \p FieldBits now
-  /// points below ContainerGen (only possible with TenureCopies > 1).
-  void maybeReRemember(uintptr_t ContainerBits, unsigned ContainerGen,
-                       uintptr_t FieldBits);
+  /// Forwards the strong slots of one to-space object (a weak car is
+  /// left for the weak-pair pass) and re-remembers it if one now points
+  /// below \p ContainerGen.
+  void sweepObject(uintptr_t *P, SpaceKind Space, unsigned ContainerGen);
 
   //===--- Phases ---------------------------------------------------------===//
 
   void detachFromSpace(unsigned G);
+  /// Flags \p Runs of arena \p A as from-space, adds their occupied
+  /// bytes to BytesInFromSpace, and appends them to \p Dst.
+  void addFromSpace(Arena &A, const std::vector<SegmentRun> &Runs,
+                    std::vector<SegmentRun> &Dst);
+  /// Poisons (under HeapConfig::PoisonFromSpace) and frees \p Runs back
+  /// to arena \p A.
+  void freeRuns(Arena &A, const std::vector<SegmentRun> (&Runs)[NumSpaces]);
   void forwardRoots();
   void processRememberedSets(unsigned G);
-  void forwardRememberedObject(Value Container);
-  bool pointsBelowGeneration(Value Container, unsigned Generation) const;
+  /// Forwards the strong slots of a container outside the from-space;
+  /// returns true if one of them now points below \p Generation.
+  bool forwardRememberedObject(Value Container, unsigned Generation);
   void processGuardians(unsigned G);
   void appendToTconc(Value Tconc, Value Obj);
   void processFinalizeLists(unsigned G, std::vector<uint32_t> &RunQueue);
   void weakPairPass(unsigned G);
   void fixWeakCar(Value WeakPair);
+  /// fixWeakCar over every weak pair of \p Ctx from \p Cur on.
+  void fixWeakCars(Arena &A, const SpaceContext &Ctx, WalkCursor Cur);
   void updateSymbolTable();
   void freeFromSpace();
 
@@ -203,14 +211,14 @@ private:
   /// closing donation scope that failed the wholesale-transfer check.
   /// Freed through the exchange arena in freeFromSpace.
   std::vector<SegmentRun> FromExchangeRuns[NumSpaces];
-  SweepCursor Cursors[NumSpaces][MaxGenerations][MaxTenureCopies];
+  WalkCursor Cursors[NumSpaces][MaxGenerations][MaxTenureCopies];
   /// Start positions of the weak-pair regions copied during this
   /// collection, for the second (weak) pass.
-  SweepCursor WeakScanStarts[MaxGenerations][MaxTenureCopies];
+  WalkCursor WeakScanStarts[MaxGenerations][MaxTenureCopies];
   /// Scope-close sweep cursors over the four target contexts, and the
   /// weak-pair target's scan start for the scope weak pass.
-  SweepCursor ScopeCursors[NumSpaces];
-  SweepCursor ScopeWeakScanStart;
+  WalkCursor ScopeCursors[NumSpaces];
+  WalkCursor ScopeWeakScanStart;
 };
 
 } // namespace gengc

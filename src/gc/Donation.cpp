@@ -22,14 +22,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include <cstring>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
+#include "heap/ObjectWalk.h"
 #include "heap/SharedImmutableSpace.h"
 #include "object/Layout.h"
 
@@ -58,64 +57,50 @@ Value SharedImmutableSpace::freezeRec(
   if (It != Memo.end())
     return Value::fromBits(It->second);
 
+  SpaceKind Space = SpaceKind::Pair;
   if (V.isPair()) {
     if (H.isWeakPair(V))
       fatalError(__FILE__, __LINE__,
                  "cannot freeze a weak pair into the shared immutable "
                  "space (weakness is mutation by the collector)");
-    // Shell first, then the fields: cycles and sharing within the frozen
-    // graph are preserved.
-    uintptr_t *Cell = allocateShared(SpaceKind::Pair, 2);
-    Value NewV = Value::pair(reinterpret_cast<PairCell *>(Cell));
-    Memo.emplace(V.bits(), NewV.bits());
-    Cell[0] = freezeRec(H, pairCar(V), Memo).bits();
-    Cell[1] = freezeRec(H, pairCdr(V), Memo).bits();
-    return NewV;
+  } else {
+    switch (objectKind(V)) {
+    case ObjectKind::String: {
+      Value S = sharedStringLocked(
+          std::string_view(stringData(V), objectLength(V)));
+      Memo.emplace(V.bits(), S.bits());
+      return S;
+    }
+    case ObjectKind::Symbol: {
+      Value S = internSharedLocked(H.symbolName(V));
+      Memo.emplace(V.bits(), S.bits());
+      return S;
+    }
+    case ObjectKind::Bytevector:
+    case ObjectKind::Flonum:
+      Space = SpaceKind::Data;
+      break;
+    case ObjectKind::Vector:
+      Space = SpaceKind::Typed;
+      break;
+    default:
+      fatalError(__FILE__, __LINE__,
+                 "cannot freeze a mutable object kind into the shared "
+                 "immutable space");
+    }
   }
 
-  const uintptr_t Header = *V.objectHeader();
-  switch (headerKind(Header)) {
-  case ObjectKind::String: {
-    Value S = sharedStringLocked(
-        std::string_view(stringData(V), objectLength(V)));
-    Memo.emplace(V.bits(), S.bits());
-    return S;
-  }
-  case ObjectKind::Bytevector:
-  case ObjectKind::Flonum: {
-    const size_t Words = objectSizeInWords(Header);
-    const size_t AllocWords = objectAllocWords(Header);
-    uintptr_t *NewObj = allocateShared(SpaceKind::Data, AllocWords);
-    std::memcpy(NewObj, V.objectHeader(), Words * sizeof(uintptr_t));
-    if (AllocWords > Words)
-      NewObj[Words] = 0;
-    Value NewV = Value::object(NewObj);
-    Memo.emplace(V.bits(), NewV.bits());
-    return NewV;
-  }
-  case ObjectKind::Symbol: {
-    Value S = internSharedLocked(H.symbolName(V));
-    Memo.emplace(V.bits(), S.bits());
-    return S;
-  }
-  case ObjectKind::Vector: {
-    const size_t Len = headerLength(Header);
-    const size_t AllocWords = objectAllocWords(Header);
-    uintptr_t *NewObj = allocateShared(SpaceKind::Typed, AllocWords);
-    NewObj[0] = Header;
-    Value NewV = Value::object(NewObj);
-    Memo.emplace(V.bits(), NewV.bits());
-    for (size_t I = 0; I != Len; ++I)
-      NewObj[1 + I] = freezeRec(H, objectField(V, I), Memo).bits();
-    if (AllocWords > 1 + Len)
-      NewObj[1 + Len] = 0;
-    return NewV;
-  }
-  default:
-    fatalError(__FILE__, __LINE__,
-               "cannot freeze a mutable object kind into the shared "
-               "immutable space");
-  }
+  // Copy and memoize first, then freeze the copy's slots in place: cycles
+  // and sharing within the frozen graph are preserved.
+  uintptr_t *Copy = copyObject(objectStart(V), Space, [&](size_t Words) {
+    return allocateShared(Space, Words);
+  });
+  Value NewV = objectValueAt(Copy, Space);
+  Memo.emplace(V.bits(), NewV.bits());
+  forEachSlot(Copy, Space, [&](uintptr_t *Slot, bool) {
+    *Slot = freezeRec(H, Value::fromBits(*Slot), Memo).bits();
+  });
+  return NewV;
 }
 
 //===----------------------------------------------------------------------===//
@@ -151,24 +136,13 @@ DonatedGraph Heap::donateGraph(Value Root, TransferPolicy Policy) {
   if (Cfg.InjectedFault == GcFaultInjection::LeakDonatedSegment)
     G.LeakOnDrop = true;
 
-  // Degenerate roots need no segments: immediates and shared values are
-  // valid on every shard as-is, and symbols transfer by name.
-  if (!Root.isHeapPointer() || isShared(Root)) {
-    G.RootBits = Root.bits();
-    ++GraphsDonatedTotal;
-    return G;
-  }
+  // A symbol root transfers by name and needs no segments. Any other
+  // root is treated like a slot: immediates and shared values pass as-is
+  // (no segments either), and kinds that cannot cross are severed or
+  // rejected.
   if (Root.isObject() && objectKind(Root) == ObjectKind::Symbol) {
     G.RootIsSymbol = true;
     G.RootSymbolName = symbolName(Root);
-    ++GraphsDonatedTotal;
-    return G;
-  }
-  if (!crossesShards(Root)) {
-    if (Policy == TransferPolicy::Reject)
-      return DonatedGraph();
-    G.RootBits = Value::falseV().bits();
-    G.SeveredEdges = 1;
     ++GraphsDonatedTotal;
     return G;
   }
@@ -176,52 +150,11 @@ DonatedGraph Heap::donateGraph(Value Root, TransferPolicy Policy) {
   Arena &EA = Exchange->arena();
   // Copy-out lanes: in-flight donation segments carry InFlightGeneration
   // and FlagDonated; one run lock acquisition per run, never per object.
-  SpaceContext Ctxs[NumSpaces];
+  SpaceContext Lanes[NumSpaces];
   // Side copy map (old bits -> new bits). The sender's graph is left
   // untouched — no forwarding markers — so a send is non-destructive
   // and needs no sender-side cleanup pass afterwards.
   std::unordered_map<uintptr_t, uintptr_t> Map;
-  // Newly copied cells/objects whose slots still hold sender addresses.
-  std::vector<std::pair<uintptr_t *, SpaceKind>> Pending;
-
-  auto allocDonated = [&](SpaceKind Space, size_t Words) {
-    const unsigned Sp = static_cast<unsigned>(Space);
-    return Ctxs[Sp].allocate(EA, Space, InFlightGeneration, Words,
-                             /*Age=*/0, /*ScopeDepth=*/0,
-                             SegmentInfo::FlagDonated);
-  };
-
-  // Copies one private pair or non-symbol typed object (payload raw,
-  // slots fixed later) and returns the tagged bits of the copy.
-  auto copyOut = [&](Value V) -> uintptr_t {
-    auto Found = Map.find(V.bits());
-    if (Found != Map.end())
-      return Found->second;
-    const SegmentInfo &Info = segInfo(V.heapAddress());
-    uintptr_t NewBits;
-    if (V.isPair()) {
-      uintptr_t *Cell = allocDonated(Info.Space, 2);
-      Cell[0] = V.pairCell()->Car;
-      Cell[1] = V.pairCell()->Cdr;
-      NewBits = Value::pair(reinterpret_cast<PairCell *>(Cell)).bits();
-      Pending.push_back({Cell, Info.Space});
-    } else {
-      uintptr_t *Header = V.objectHeader();
-      GENGC_ASSERT(headerKind(*Header) != ObjectKind::Forward,
-                   "donateGraph found a forwarding marker");
-      const size_t Words = objectSizeInWords(*Header);
-      const size_t AllocWords = objectAllocWords(*Header);
-      uintptr_t *NewObj = allocDonated(Info.Space, AllocWords);
-      std::memcpy(NewObj, Header, Words * sizeof(uintptr_t));
-      if (AllocWords > Words)
-        NewObj[Words] = 0;
-      NewBits = Value::object(NewObj).bits();
-      if (kindHasPointers(headerKind(*Header)))
-        Pending.push_back({NewObj, Info.Space});
-    }
-    Map.emplace(V.bits(), NewBits);
-    return NewBits;
-  };
 
   // Rewrites one slot of a donated copy in place. False iff the slot
   // reaches a kind that cannot cross shards under Reject.
@@ -236,8 +169,7 @@ DonatedGraph Heap::donateGraph(Value Root, TransferPolicy Policy) {
     GENGC_ASSERT(!(Info.isDonated() &&
                    Info.Generation == InFlightGeneration),
                  "donateGraph reached another in-flight donation");
-    if (V.isObject() &&
-        headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
+    if (V.isObject() && objectKind(V) == ObjectKind::Symbol) {
       // Symbols keep per-heap eq? identity: transfer by name.
       G.Fixups.push_back({Slot, ContainerBits, WeakCar, symbolName(V)});
       *Slot = Value::falseV().bits();
@@ -250,37 +182,54 @@ DonatedGraph Heap::donateGraph(Value Root, TransferPolicy Policy) {
       ++G.SeveredEdges;
       return true;
     }
-    *Slot = copyOut(V);
+    // Copied once, into its space's lane; the lane's sweep fixes the
+    // copy's slots later.
+    auto [It, Fresh] = Map.try_emplace(V.bits(), 0);
+    if (Fresh) {
+      const SpaceKind Space = Info.Space;
+      uintptr_t *Copy = copyObject(objectStart(V), Space, [&](size_t Words) {
+        return Lanes[static_cast<unsigned>(Space)].allocate(
+            EA, Space, InFlightGeneration, Words, /*Age=*/0,
+            /*ScopeDepth=*/0, SegmentInfo::FlagDonated);
+      });
+      It->second = objectValueAt(Copy, Space).bits();
+    }
+    *Slot = It->second;
     return true;
   };
 
-  G.RootBits = copyOut(Root);
-  bool Rejected = false;
-  while (!Pending.empty() && !Rejected) {
-    auto [P, Space] = Pending.back();
-    Pending.pop_back();
-    if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      // Weak cars are traversed strongly: a message is a value, so
-      // weakly-held structure crosses too; the copies land in
-      // weak-pair-space segments, so the receiver's own collections
-      // resume weak semantics after adoption.
-      uintptr_t CB =
-          Value::pair(reinterpret_cast<PairCell *>(P)).bits();
-      Rejected = !fixSlot(&P[0], /*WeakCar=*/Space == SpaceKind::WeakPair,
-                          CB) ||
-                 !fixSlot(&P[1], /*WeakCar=*/false, CB);
-    } else {
-      const uintptr_t CB = Value::object(P).bits();
-      const size_t Fields = objectPointerFieldCount(*P);
-      for (size_t I = 0; I != Fields && !Rejected; ++I)
-        Rejected = !fixSlot(P + 1 + I, /*WeakCar=*/false, CB);
+  // The Cheney scan of the lanes: each copy's slots still hold sender
+  // addresses until its lane's sweep fixes them, and fixing a slot may
+  // copy more objects behind the cursors. Weak cars are traversed
+  // strongly: a message is a value, so weakly-held structure crosses
+  // too; the copies land in weak-pair-space segments, so the receiver's
+  // own collections resume weak semantics after adoption. The data lane
+  // is pointerless: nothing to sweep.
+  G.RootBits = Root.bits();
+  bool Rejected = !fixSlot(&G.RootBits, /*WeakCar=*/false, 0);
+  WalkCursor Cursors[NumSpaces];
+  for (bool Progress = true; Progress && !Rejected;) {
+    Progress = false;
+    for (SpaceKind Space :
+         {SpaceKind::Pair, SpaceKind::WeakPair, SpaceKind::Typed}) {
+      auto FixCopy = [&](uintptr_t *P) {
+        const uintptr_t CB = objectValueAt(P, Space).bits();
+        Rejected = !forEachSlot(P, Space, [&](uintptr_t *Slot, bool WeakCar) {
+          return fixSlot(Slot, WeakCar, CB);
+        });
+        return !Rejected;
+      };
+      const unsigned Sp = static_cast<unsigned>(Space);
+      Progress |= walkObjects(EA, Lanes[Sp], Space, Cursors[Sp], FixCopy) != 0;
+      if (Rejected)
+        break;
     }
   }
   if (Rejected) {
     // Nothing is sent: the runs copied so far go back to the exchange
     // arena, and the sender's graph was never touched.
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      for (const SegmentRun &R : Ctxs[Sp].takeRuns(EA))
+      for (const SegmentRun &R : Lanes[Sp].takeRuns(EA))
         EA.freeRun(R.FirstSegment, R.SegmentCount);
     return DonatedGraph();
   }
@@ -288,7 +237,7 @@ DonatedGraph Heap::donateGraph(Value Root, TransferPolicy Policy) {
   // Seal and detach: the handle owns the runs outright from here.
   uint64_t Bytes = 0;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    G.Runs[Sp] = Ctxs[Sp].takeRuns(EA);
+    G.Runs[Sp] = Lanes[Sp].takeRuns(EA);
     for (const SegmentRun &R : G.Runs[Sp])
       Bytes += static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
   }
@@ -354,7 +303,7 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
         Info.Age = 0;
         Info.ScopeDepth = 0;
       }
-      AdoptedRuns[Sp].push_back(R);
+      AdoptedRuns[Sp].appendSealedRun(EA, R);
     }
     Graph.Runs[Sp].clear();
   }
@@ -422,6 +371,10 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
 
   // No root may reach into the scope.
   const unsigned Depth = Scope.Depth;
+  auto InScope = [&](Value V) {
+    return V.isHeapPointer() && !Segments.containsAddress(V.heapAddress()) &&
+           segInfo(V.heapAddress()).ScopeDepth == Depth;
+  };
   for (Value *Slot : RootSlots)
     if (scopeDepthOf(*Slot) == Depth)
       return G;
@@ -447,84 +400,49 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
   // The root itself must be donatable: in-scope, shared, a symbol, or
   // an immediate.
   Arena &EA = Exchange->arena();
-  bool RootSymbol = false;
-  if (Root.isHeapPointer()) {
-    const SegmentInfo &RInfo = segInfo(Root.heapAddress());
-    if (Root.isObject() && objectKind(Root) == ObjectKind::Symbol)
-      RootSymbol = true;
-    else if (RInfo.isShared())
-      ; // Valid everywhere.
-    else if (Segments.containsAddress(Root.heapAddress()) ||
-             RInfo.ScopeDepth != Depth)
-      return G; // Root outside the scope: nothing to hand over.
-  }
+  const bool RootSymbol =
+      Root.isObject() && objectKind(Root) == ObjectKind::Symbol;
+  if (Root.isHeapPointer() && !RootSymbol && !isShared(Root) &&
+      !InScope(Root))
+    return G; // Root outside the scope: nothing to hand over.
 
   // Read-only self-containment scan of the scope's pointer-bearing
   // spaces, O(scope bytes). Every outbound edge must be an immediate, a
   // shared value, or a symbol (collected as a fixup and blanked only
   // after all checks pass). Internal edges stay as-is — that is the
   // zero-copy part. Data space is pointerless: nothing to scan.
-  struct PendingFixup {
-    uintptr_t *Slot;
-    uintptr_t ContainerBits;
-    bool WeakCar;
-    Value Sym;
-  };
-  std::vector<PendingFixup> Fixups;
   auto Classify = [&](uintptr_t *Slot, bool WeakCar,
                       uintptr_t ContainerBits) -> bool {
     Value V = Value::fromBits(*Slot);
-    if (!V.isHeapPointer())
+    if (!V.isHeapPointer() || isShared(V))
       return true;
-    const SegmentInfo &Info = segInfo(V.heapAddress());
-    if (Info.isShared())
-      return true;
-    if (V.isObject() &&
-        headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
+    if (V.isObject() && objectKind(V) == ObjectKind::Symbol) {
       // In-scope or not, symbols transfer by name; an in-scope symbol's
       // storage rides along as unreferenced words and is reclaimed by
       // the receiver's next collection.
-      Fixups.push_back({Slot, ContainerBits, WeakCar, V});
+      G.Fixups.push_back({Slot, ContainerBits, WeakCar, symbolName(V)});
       return true;
     }
     // Internal edges point at this scope's own exchange-arena segments.
-    return !Segments.containsAddress(V.heapAddress()) &&
-           Info.ScopeDepth == Depth;
+    return InScope(V);
   };
   auto ScanSpace = [&](SpaceKind Space) -> bool {
-    const unsigned Sp = static_cast<unsigned>(Space);
-    SpaceContext &Ctx = Scope.Contexts[Sp];
-    Ctx.sealCurrentRun(EA);
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    for (size_t R = 0; R != Runs.size(); ++R) {
-      // rootcheck:allow(segment-base) — replays the scope's bump walk.
-      uintptr_t *Base = EA.segmentBase(Runs[R].FirstSegment);
-      const size_t Used = Ctx.usedWordsOf(EA, R);
-      size_t Off = 0;
-      while (Off != Used) {
-        uintptr_t *P = Base + Off;
-        if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-          uintptr_t CB =
-              Value::pair(reinterpret_cast<PairCell *>(P)).bits();
-          if (!Classify(&P[0], Space == SpaceKind::WeakPair, CB) ||
-              !Classify(&P[1], /*WeakCar=*/false, CB))
-            return false;
-          Off += 2;
-        } else {
-          const uintptr_t CB = Value::object(P).bits();
-          const size_t Fields = objectPointerFieldCount(*P);
-          for (size_t I = 0; I != Fields; ++I)
-            if (!Classify(P + 1 + I, /*WeakCar=*/false, CB))
-              return false;
-          Off += objectAllocWords(*P);
-        }
-      }
-    }
-    return true;
+    bool Contained = true;
+    auto ScanObject = [&](uintptr_t *P) {
+      const uintptr_t CB = objectValueAt(P, Space).bits();
+      Contained = forEachSlot(P, Space, [&](uintptr_t *Slot, bool WeakCar) {
+        return Classify(Slot, WeakCar, CB);
+      });
+      return Contained;
+    };
+    WalkCursor Cur;
+    walkObjects(EA, Scope.Contexts[static_cast<unsigned>(Space)], Space, Cur,
+                ScanObject);
+    return Contained;
   };
   if (!ScanSpace(SpaceKind::Pair) || !ScanSpace(SpaceKind::WeakPair) ||
       !ScanSpace(SpaceKind::Typed))
-    return G;
+    return DonatedGraph();
 
   // All checks passed — commit. Mutation starts here and cannot fail.
   G.Domain = Exchange;
@@ -545,20 +463,29 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
   // intern entries must go (semantically the symbols die here and would
   // be re-interned on demand, exactly as under a weak symbol table).
   for (auto It = SymbolTable.begin(); It != SymbolTable.end();) {
-    Value Sym = Value::fromBits(It->second);
-    if (Sym.isHeapPointer() &&
-        !Segments.containsAddress(Sym.heapAddress()) &&
-        segInfo(Sym.heapAddress()).ScopeDepth == Depth)
+    if (InScope(Value::fromBits(It->second)))
       It = SymbolTable.erase(It);
     else
       ++It;
   }
-
-  for (const PendingFixup &F : Fixups) {
-    G.Fixups.push_back({F.Slot, F.ContainerBits, F.WeakCar,
-                        symbolName(F.Sym)});
-    *F.Slot = Value::falseV().bits();
+  // Likewise the profiler's samples of scope objects: they leave this
+  // heap unobserved, so they are credited as dead, as an ordinary close
+  // credits the objects that do not graduate.
+  if (Profiler.enabled()) {
+    std::vector<AllocProfiler::SampledObject> &Table =
+        Profiler.trackedObjects();
+    size_t Keep = 0;
+    for (const AllocProfiler::SampledObject &O : Table) {
+      if (InScope(Value::fromBits(O.Bits)))
+        Profiler.creditDeath(O);
+      else
+        Table[Keep++] = O;
+    }
+    Table.resize(Keep);
   }
+
+  for (const DonatedSymbolFixup &F : G.Fixups)
+    *F.Slot = Value::falseV().bits();
 
   // Detach the runs and drop the scope tags: in-flight donations carry
   // (Generation == InFlightGeneration, ScopeDepth 0, FlagDonated).

@@ -16,6 +16,7 @@
 #include "gc/ScopedGeneration.h"
 #include "gc/Tconc.h"
 #include "gc/telemetry/TraceExport.h"
+#include "heap/ObjectWalk.h"
 #include "heap/SharedImmutableSpace.h"
 
 using namespace gengc;
@@ -90,7 +91,7 @@ Heap::~Heap() {
   // donation scopes still open.
   Arena &EA = Exchange->arena();
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    for (const SegmentRun &R : AdoptedRuns[Sp])
+    for (const SegmentRun &R : AdoptedRuns[Sp].runs())
       EA.freeRun(R.FirstSegment, R.SegmentCount);
     for (const auto &SG : ScopeStack)
       if (SG->Donation)
@@ -153,11 +154,7 @@ uintptr_t *Heap::allocateRaw(SpaceKind Space, size_t Words) {
   // tracking follow the space's representation (pair spaces hold bare
   // cells, typed/data spaces header-tagged objects).
   if (Profiler.tick(TotalBytesAllocated))
-    Profiler.recordSample(
-        (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair)
-            ? Value::pair(reinterpret_cast<PairCell *>(W)).bits()
-            : Value::object(W).bits(),
-        TotalBytesAllocated);
+    Profiler.recordSample(objectValueAt(W, Space).bits(), TotalBytesAllocated);
   return W;
 }
 
@@ -609,21 +606,18 @@ const SegmentInfo &Heap::exchangeInfo(uintptr_t Address) const {
 Heap::GenerationUsage Heap::generationUsage(unsigned Generation) const {
   GENGC_ASSERT(Generation < Cfg.Generations, "bad generation");
   GenerationUsage Usage;
-  for (unsigned S = 0; S != NumSpaces; ++S)
-    for (unsigned A = 0; A != Cfg.TenureCopies; ++A) {
-      const SpaceContext &Ctx = Contexts[S][Generation][A];
-      for (const SegmentRun &R : Ctx.runs())
-        Usage.SegmentCount += R.SegmentCount;
-      Usage.UsedBytes += Ctx.usedWords(Segments) * sizeof(uintptr_t);
-    }
-  // Adopted donation runs are generation 0.
-  if (Generation == 0)
-    for (unsigned S = 0; S != NumSpaces; ++S)
-      for (const SegmentRun &R : AdoptedRuns[S]) {
-        Usage.SegmentCount += R.SegmentCount;
-        Usage.UsedBytes += static_cast<size_t>(R.UsedWords) *
-                           sizeof(uintptr_t);
-      }
+  auto Add = [&](const Arena &A, const SpaceContext &Ctx) {
+    for (const SegmentRun &R : Ctx.runs())
+      Usage.SegmentCount += R.SegmentCount;
+    Usage.UsedBytes += Ctx.usedWords(A) * sizeof(uintptr_t);
+  };
+  for (unsigned S = 0; S != NumSpaces; ++S) {
+    for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
+      Add(Segments, Contexts[S][Generation][Age]);
+    // Adopted donation runs are generation 0.
+    if (Generation == 0)
+      Add(Exchange->arena(), AdoptedRuns[S]);
+  }
   return Usage;
 }
 
@@ -637,8 +631,7 @@ size_t Heap::liveBytes() const {
     for (unsigned S = 0; S != NumSpaces; ++S)
       Words += SG->Contexts[S].usedWords(*SG->ScopeArena);
   for (unsigned S = 0; S != NumSpaces; ++S)
-    for (const SegmentRun &R : AdoptedRuns[S])
-      Words += R.UsedWords;
+    Words += AdoptedRuns[S].usedWords(Exchange->arena());
   return Words * sizeof(uintptr_t);
 }
 

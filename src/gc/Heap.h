@@ -270,7 +270,7 @@ public:
   size_t adoptedSegments() const {
     size_t N = 0;
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      for (const SegmentRun &R : AdoptedRuns[Sp])
+      for (const SegmentRun &R : AdoptedRuns[Sp].runs())
         N += R.SegmentCount;
     return N;
   }
@@ -614,11 +614,12 @@ private:
   std::vector<ProtectedEntry> Protected[MaxGenerations];
 
   /// Adopted donation runs, per space: exchange-arena segments this heap
-  /// received through adoptDonatedGraph, retagged to generation 0.
-  /// Logically part of generation 0; every collection evacuates their
-  /// survivors into the private arena and returns the segments to the
-  /// exchange arena, as does the destructor.
-  std::vector<SegmentRun> AdoptedRuns[NumSpaces];
+  /// received through adoptDonatedGraph, retagged to generation 0, held
+  /// as sealed runs of a context nothing allocates into. Logically part
+  /// of generation 0; every collection evacuates their survivors into
+  /// the private arena and returns the segments to the exchange arena,
+  /// as does the destructor.
+  SpaceContext AdoptedRuns[NumSpaces];
 
   /// Monotonic donation counters (graphsDonated() etc.).
   uint64_t GraphsDonatedTotal = 0;

@@ -120,19 +120,9 @@ void Collector::scopeDetachFromSpace(ScopedGeneration &Scope) {
   // free list.
   Arena &A = *Scope.ScopeArena;
   const bool Exchange = &A != &H.Segments;
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    std::vector<SegmentRun> Runs = Scope.Contexts[Sp].takeRuns(A);
-    for (const SegmentRun &R : Runs) {
-      for (uint32_t Seg = R.FirstSegment;
-           Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-        A.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-      S.BytesInFromSpace +=
-          static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-    }
-    std::vector<SegmentRun> &Dst = Exchange ? FromExchangeRuns[Sp]
-                                            : FromRuns[Sp];
-    Dst.insert(Dst.end(), Runs.begin(), Runs.end());
-  }
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    addFromSpace(A, Scope.Contexts[Sp].takeRuns(A),
+                 Exchange ? FromExchangeRuns[Sp] : FromRuns[Sp]);
 }
 
 void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
@@ -152,26 +142,16 @@ void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
       // dies), never a wild pointer.
       LeakOne = false;
       H.ScopeLeakFired = true;
-      auto ClearIfFromSpace = [&](uintptr_t &FieldBits) {
-        Value F = Value::fromBits(FieldBits);
-        if (F.isHeapPointer() &&
-            H.segInfo(F.heapAddress()).isFromSpace())
-          FieldBits = Value::falseV().bits();
-      };
-      if (C.isPair()) {
-        PairCell *Cell = C.pairCell();
-        if (H.segInfo(C.heapAddress()).Space != SpaceKind::WeakPair)
-          ClearIfFromSpace(Cell->Car);
-        ClearIfFromSpace(Cell->Cdr);
-      } else {
-        uintptr_t *Header = C.objectHeader();
-        const size_t Fields = objectPointerFieldCount(*Header);
-        for (size_t I = 0; I != Fields; ++I)
-          ClearIfFromSpace(Header[1 + I]);
-      }
+      forEachSlot(objectStart(C), H.segInfo(C.heapAddress()).Space,
+                  [&](uintptr_t *Slot, bool WeakCar) {
+                    Value F = Value::fromBits(*Slot);
+                    if (!WeakCar && F.isHeapPointer() &&
+                        H.segInfo(F.heapAddress()).isFromSpace())
+                      *Slot = Value::falseV().bits();
+                  });
       continue;
     }
-    forwardRememberedObject(C);
+    forwardRememberedObject(C, /*Generation=*/0);
     ++S.RememberedObjectsScanned;
   }
 }
@@ -181,30 +161,9 @@ void Collector::scopeWeakPairPass(ScopedGeneration &Scope) {
   // their cars may still point into the dying scope — update or break,
   // per the paper's rule. Guardian-salvaged objects were forwarded by
   // the fixpoint before this pass, so they update rather than break.
-  const unsigned Sp = static_cast<unsigned>(SpaceKind::WeakPair);
-  SpaceContext &Ctx = scopeTargetContext(Sp);
-  Arena &TA = scopeTargetArena();
-  SweepCursor Cur = ScopeWeakScanStart;
-  while (true) {
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    if (Cur.RunIndex >= Runs.size())
-      break;
-    const size_t Used = Ctx.usedWordsOf(TA, Cur.RunIndex);
-    if (Cur.OffsetWords >= Used) {
-      if (Cur.RunIndex + 1 < Runs.size()) {
-        ++Cur.RunIndex;
-        Cur.OffsetWords = 0;
-        continue;
-      }
-      break;
-    }
-    // rootcheck:allow(segment-base) — weak pass replays the sweep walk.
-    uintptr_t *Cell =
-        TA.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-        Cur.OffsetWords;
-    fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(Cell)));
-    Cur.OffsetWords += 2;
-  }
+  fixWeakCars(scopeTargetArena(),
+              scopeTargetContext(static_cast<unsigned>(SpaceKind::WeakPair)),
+              ScopeWeakScanStart);
 
   // (b) Registered weak escapes: weak pairs outside the scope whose car
   // may point into it. fixWeakCar updates-or-breaks and re-records the
@@ -230,33 +189,23 @@ void Collector::propagateScopeEscapes(ScopedGeneration &Scope) {
   // graduated copies, which may themselves be escapes of the (still
   // open) enclosing scope — or old-to-young edges when the closing scope
   // was outermost and graduates landed in the ordinary generation 0.
-  auto Record = [&](Value C, const SegmentInfo &CInfo, uintptr_t FieldBits) {
-    Value F = Value::fromBits(FieldBits);
-    if (!F.isHeapPointer())
-      return;
-    const SegmentInfo &FInfo = H.segInfo(F.heapAddress());
-    if (FInfo.ScopeDepth > CInfo.ScopeDepth) {
-      H.ScopeStack[FInfo.ScopeDepth - 1]->Escapes.insert(C.bits());
-    } else if (CInfo.ScopeDepth == 0 && FInfo.ScopeDepth == 0 &&
-               CInfo.Generation > 0 &&
-               FInfo.Generation < CInfo.Generation) {
-      H.Remembered[CInfo.Generation].insert(C.bits());
-    }
-  };
   for (uintptr_t Bits : Scope.Escapes.takeSnapshot()) {
     Value C = Value::fromBits(Bits);
     const SegmentInfo &CInfo = H.segInfo(C.heapAddress());
-    if (C.isPair()) {
-      PairCell *Cell = C.pairCell();
-      if (CInfo.Space != SpaceKind::WeakPair)
-        Record(C, CInfo, Cell->Car);
-      Record(C, CInfo, Cell->Cdr);
-    } else {
-      uintptr_t *Header = C.objectHeader();
-      const size_t Fields = objectPointerFieldCount(*Header);
-      for (size_t I = 0; I != Fields; ++I)
-        Record(C, CInfo, Header[1 + I]);
-    }
+    forEachSlot(objectStart(C), CInfo.Space, [&](uintptr_t *Slot,
+                                                 bool WeakCar) {
+      Value F = Value::fromBits(*Slot);
+      if (WeakCar || !F.isHeapPointer())
+        return;
+      const SegmentInfo &FInfo = H.segInfo(F.heapAddress());
+      if (FInfo.ScopeDepth > CInfo.ScopeDepth) {
+        H.ScopeStack[FInfo.ScopeDepth - 1]->Escapes.insert(Bits);
+      } else if (CInfo.ScopeDepth == 0 && FInfo.ScopeDepth == 0 &&
+                 CInfo.Generation > 0 &&
+                 FInfo.Generation < CInfo.Generation) {
+        H.Remembered[CInfo.Generation].insert(Bits);
+      }
+    });
   }
   Scope.Escapes.clear();
 }
@@ -276,16 +225,9 @@ void Collector::runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out) {
   // From-space = the scope's segments; sweep targets = the enclosing
   // extent's contexts, from their pre-close frontiers.
   scopeDetachFromSpace(Scope);
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    SpaceContext &Ctx = scopeTargetContext(Sp);
-    if (Ctx.runs().empty()) {
-      ScopeCursors[Sp] = SweepCursor{0, 0};
-    } else {
-      size_t Last = Ctx.runs().size() - 1;
-      ScopeCursors[Sp] =
-          SweepCursor{Last, Ctx.usedWordsOf(scopeTargetArena(), Last)};
-    }
-  }
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    ScopeCursors[Sp] =
+        walkFrontier(scopeTargetArena(), scopeTargetContext(Sp));
   ScopeWeakScanStart = ScopeCursors[static_cast<unsigned>(SpaceKind::WeakPair)];
 
   // Roots: the real roots (plus the strong symbol table) and the escape

@@ -30,6 +30,7 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
+#include "heap/ObjectWalk.h"
 #include "heap/SharedImmutableSpace.h"
 #include "support/PtrHashSet.h"
 
@@ -50,13 +51,13 @@ struct Verifier {
   ScopeStackArray &Scopes;
   /// Adopted donation runs (Heap::AdoptedRuns), per space: exchange-arena
   /// segments that are part of this heap's generation 0.
-  const std::vector<SegmentRun> *Adopted;
+  const SpaceContext *Adopted;
   PtrHashSet ValidBits; // Tagged bits of every live object.
   std::vector<std::string> Failures;
 
   Verifier(Arena &A, Arena &EA, const HeapConfig &Cfg,
            ContextsArray Contexts, ScopeStackArray &Scopes,
-           const std::vector<SegmentRun> *Adopted)
+           const SpaceContext *Adopted)
       : A(A), EA(EA), Cfg(Cfg), Contexts(Contexts), Scopes(Scopes),
         Adopted(Adopted) {}
 
@@ -121,55 +122,34 @@ struct Verifier {
     std::abort();
   }
 
-  /// Walks the objects of one run with a known used extent, invoking
-  /// Fn(WordPtr, Space).
+  /// Visits every object of \p Ctx with Visit(WordPtr, Space). \p In is
+  /// the arena \p Ctx allocates from: the exchange arena for adopted runs
+  /// and donation scopes.
   template <typename Fn>
-  void walkRun(Arena &In, const SegmentRun &R, size_t Used, SpaceKind Space,
-               Fn Visit) {
-    // rootcheck:allow(segment-base) — the verifier replays the
-    // allocator's bump walk and must address segments directly.
-    uintptr_t *Base = In.segmentBase(R.FirstSegment);
-    size_t Off = 0;
-    while (Off < Used) {
-      uintptr_t *P = Base + Off;
-      size_t Step;
-      if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair)
-        Step = 2;
-      else
-        Step = objectAllocWords(*P);
-      Visit(P, Space);
-      Off += Step;
-    }
-    if (Off != Used)
-      failSegment(In, R.FirstSegment,
-                  "object walk overshot the run's used extent");
-  }
-
-  /// Walks every object in a context's runs. \p In is the arena the
-  /// context allocates from — the exchange arena for donation scopes.
-  template <typename Fn>
-  void walkContext(Arena &In, const SpaceContext &Ctx, SpaceKind Space,
-                   Fn Visit) {
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    for (size_t RI = 0; RI != Runs.size(); ++RI)
-      walkRun(In, Runs[RI], Ctx.usedWordsOf(In, RI), Space, Visit);
+  void walk(Arena &In, const SpaceContext &Ctx, SpaceKind Space, Fn Visit) {
+    WalkCursor Cur;
+    walkObjects(
+        In, Ctx, Space, Cur, [&](uintptr_t *P) { Visit(P, Space); },
+        [&](const SegmentRun &R) {
+          failSegment(In, R.FirstSegment,
+                      "object walk overshot the run's used extent");
+        });
   }
 
   template <typename Fn> void walkHeap(Fn Visit) {
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
+      const SpaceKind Space = static_cast<SpaceKind>(Sp);
       for (unsigned G = 0; G != Cfg.Generations; ++G)
         for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
-          walkContext(A, contextOf(Sp, G, Age), static_cast<SpaceKind>(Sp),
-                      Visit);
+          walk(A, contextOf(Sp, G, Age), Space, Visit);
       // Adopted donation runs are generation 0 living in the exchange
-      // arena; their runs are sealed, so UsedWords is authoritative.
-      for (const SegmentRun &R : Adopted[Sp])
-        walkRun(EA, R, R.UsedWords, static_cast<SpaceKind>(Sp), Visit);
+      // arena.
+      walk(EA, Adopted[Sp], Space, Visit);
     }
     for (const auto &SG : Scopes)
       for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-        walkContext(*SG->ScopeArena, SG->Contexts[Sp],
-                    static_cast<SpaceKind>(Sp), Visit);
+        walk(*SG->ScopeArena, SG->Contexts[Sp], static_cast<SpaceKind>(Sp),
+             Visit);
   }
 
   const SpaceContext &contextOf(unsigned Sp, unsigned G, unsigned Age) {
@@ -215,8 +195,8 @@ struct Verifier {
   }
 
   void registerObject(uintptr_t *P, SpaceKind Space) {
-    if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      ValidBits.insert(Value::pair(reinterpret_cast<PairCell *>(P)).bits());
+    if (isPairSpace(Space)) {
+      ValidBits.insert(objectValueAt(P, Space).bits());
       return;
     }
     ObjectKind K = headerKind(*P);
@@ -230,39 +210,27 @@ struct Verifier {
   }
 
   void collectValidObjects() {
-    auto Register = [&](uintptr_t *P, SpaceKind Space) {
-      registerObject(P, Space);
-    };
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
+      const SpaceKind Space = static_cast<SpaceKind>(Sp);
       for (unsigned G = 0; G != Cfg.Generations; ++G)
-       for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age) {
-        const SpaceContext &Ctx = contextOf(Sp, G, Age);
-        checkSegmentTagging(A, Ctx, static_cast<SpaceKind>(Sp), G, Age,
-                            /*Depth=*/0, /*ExpectDonated=*/false);
-        walkContext(A, Ctx, static_cast<SpaceKind>(Sp), Register);
-       }
+        for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
+          checkSegmentTagging(A, contextOf(Sp, G, Age), Space, G, Age,
+                              /*Depth=*/0, /*ExpectDonated=*/false);
       // Adopted donation runs: exchange-arena segments retagged to
       // generation 0, still carrying the donation flag.
-      for (const SegmentRun &R : Adopted[Sp]) {
-        checkRunTagging(EA, R, static_cast<SpaceKind>(Sp),
-                        /*Gen=*/0, /*Age=*/0, /*Depth=*/0,
-                        /*ExpectDonated=*/true);
-        walkRun(EA, R, R.UsedWords, static_cast<SpaceKind>(Sp), Register);
-      }
+      checkSegmentTagging(EA, Adopted[Sp], Space, /*Gen=*/0,
+                          /*Age=*/0, /*Depth=*/0, /*ExpectDonated=*/true);
     }
     // Open request scopes: their segments are tagged (generation 0,
     // age 0, the scope's depth) and their objects are as valid as any.
     // Donation scopes allocate from the exchange arena with the donation
     // flag pre-set.
     for (const auto &SG : Scopes)
-      for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-        const SpaceContext &Ctx = SG->Contexts[Sp];
-        checkSegmentTagging(*SG->ScopeArena, Ctx, static_cast<SpaceKind>(Sp),
-                            /*Gen=*/0, /*Age=*/0, SG->Depth,
-                            /*ExpectDonated=*/SG->Donation);
-        walkContext(*SG->ScopeArena, Ctx, static_cast<SpaceKind>(Sp),
-                    Register);
-      }
+      for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+        checkSegmentTagging(*SG->ScopeArena, SG->Contexts[Sp],
+                            static_cast<SpaceKind>(Sp), /*Gen=*/0, /*Age=*/0,
+                            SG->Depth, /*ExpectDonated=*/SG->Donation);
+    walkHeap([&](uintptr_t *P, SpaceKind Space) { registerObject(P, Space); });
   }
 
   void checkValue(Value V, const char *What) {
@@ -343,22 +311,12 @@ struct Verifier {
   void checkReferences(const PtrHashSet *Remembered,
                        const PtrHashSet *WeakRemembered) {
     walkHeap([&](uintptr_t *P, SpaceKind Space) {
-      if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-        Value Pair = Value::pair(reinterpret_cast<PairCell *>(P));
-        checkField(Pair, Value::fromBits(P[0]),
-                   /*WeakField=*/Space == SpaceKind::WeakPair,
-                   &Remembered[genOf(Pair)], &WeakRemembered[genOf(Pair)]);
-        checkField(Pair, Value::fromBits(P[1]), /*WeakField=*/false,
-                   &Remembered[genOf(Pair)], &WeakRemembered[genOf(Pair)]);
-        return;
-      }
-      if (Space == SpaceKind::Data)
-        return;
-      Value Obj = Value::object(P);
-      const size_t Fields = objectPointerFieldCount(*P);
-      for (size_t I = 0; I != Fields; ++I)
-        checkField(Obj, Value::fromBits(P[1 + I]), /*WeakField=*/false,
-                   &Remembered[genOf(Obj)], &WeakRemembered[genOf(Obj)]);
+      const Value Container = objectValueAt(P, Space);
+      const unsigned G = genOf(Container);
+      forEachSlot(P, Space, [&](uintptr_t *Slot, bool WeakCar) {
+        checkField(Container, Value::fromBits(*Slot), WeakCar, &Remembered[G],
+                   &WeakRemembered[G]);
+      });
     });
   }
 };

@@ -10,9 +10,8 @@
 #include <cstdint>
 
 #include "gc/ScopedGeneration.h"
+#include "heap/ObjectWalk.h"
 #include "heap/SharedImmutableSpace.h"
-#include "heap/SpaceContext.h"
-#include "object/Layout.h"
 
 using namespace gengc;
 
@@ -55,51 +54,33 @@ HeapCensus Heap::census() const {
   HeapCensus C;
   C.Generations = Cfg.Generations;
 
-  auto AccumulateRun = [&](const Arena &A, const SegmentRun &R, size_t Used,
-                           SpaceKind Space, HeapCensus::Cell &Cell) {
-    Cell.SegmentCount += R.SegmentCount;
-    Cell.UsedBytes += Used * sizeof(uintptr_t);
-    // rootcheck:allow(segment-base) — the census replays the
-    // allocator's bump walk, like the verifier.
-    uintptr_t *Base = A.segmentBase(R.FirstSegment);
-    size_t Off = 0;
-    while (Off < Used) {
+  auto Accumulate = [&](const Arena &A, const SpaceContext &Ctx,
+                        SpaceKind Space, HeapCensus::Cell &Cell) {
+    for (const SegmentRun &R : Ctx.runs())
+      Cell.SegmentCount += R.SegmentCount;
+    WalkCursor Cur;
+    walkObjects(A, Ctx, Space, Cur, [&](uintptr_t *P) {
+      const size_t Words = objectWordsAt(P, Space);
+      CensusKind K = CensusKind::Pair;
+      if (Space == SpaceKind::WeakPair)
+        K = CensusKind::WeakPair;
+      else if (!isPairSpace(Space))
+        K = censusKindOf(headerKind(*P));
       ++Cell.ObjectCount;
-      size_t Words;
-      CensusKind K;
-      if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-        Words = 2;
-        K = Space == SpaceKind::Pair ? CensusKind::Pair
-                                     : CensusKind::WeakPair;
-      } else {
-        Words = objectAllocWords(Base[Off]);
-        K = censusKindOf(headerKind(Base[Off]));
-      }
+      Cell.UsedBytes += Words * sizeof(uintptr_t);
       C.KindCounts[static_cast<unsigned>(K)] += 1;
       C.KindBytes[static_cast<unsigned>(K)] += Words * sizeof(uintptr_t);
-      Off += Words;
-    }
-  };
-
-  auto AccumulateContext = [&](const Arena &A, const SpaceContext &Ctx,
-                               SpaceKind Space, HeapCensus::Cell &Cell) {
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    for (size_t RI = 0; RI != Runs.size(); ++RI)
-      AccumulateRun(A, Runs[RI], Ctx.usedWordsOf(A, RI), Space, Cell);
+    });
   };
 
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     const SpaceKind Space = static_cast<SpaceKind>(Sp);
     for (unsigned G = 0; G != Cfg.Generations; ++G)
       for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
-        AccumulateContext(Segments, Contexts[Sp][G][Age], Space,
-                          C.Cells[G][Sp]);
+        Accumulate(Segments, Contexts[Sp][G][Age], Space, C.Cells[G][Sp]);
     // Adopted donation runs live in the exchange arena but are this
-    // heap's generation 0, which their segments are tagged with. Sealed
-    // runs, so UsedWords is authoritative.
-    for (const SegmentRun &R : AdoptedRuns[Sp])
-      AccumulateRun(Exchange->arena(), R, R.UsedWords, Space,
-                    C.Cells[0][Sp]);
+    // heap's generation 0, which their segments are tagged with.
+    Accumulate(Exchange->arena(), AdoptedRuns[Sp], Space, C.Cells[0][Sp]);
   }
 
   // Open request scopes are counted under generation 0: their segments
@@ -107,8 +88,8 @@ HeapCensus Heap::census() const {
   // Donation scopes allocate from the exchange arena.
   for (const auto &SG : ScopeStack)
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      AccumulateContext(*SG->ScopeArena, SG->Contexts[Sp],
-                        static_cast<SpaceKind>(Sp), C.Cells[0][Sp]);
+      Accumulate(*SG->ScopeArena, SG->Contexts[Sp], static_cast<SpaceKind>(Sp),
+                 C.Cells[0][Sp]);
 
   return C;
 }

@@ -77,7 +77,7 @@ constexpr uint8_t SharedGeneration = 0xFF;
 /// adopted by any heap. Distinct from every collectible generation so that
 /// "in flight" can be told apart from "adopted" even on single-generation
 /// heaps, where the oldest generation is also 0. Adoption retags the
-/// segments to the receiver's oldest generation.
+/// segments to the receiver's generation 0.
 constexpr uint8_t InFlightGeneration = 0xFE;
 
 /// Per-segment bookkeeping, one entry per segment in the arena.
@@ -93,8 +93,8 @@ struct SegmentInfo {
   static constexpr uint8_t FlagShared = 1 << 2;
   /// Donation segment: allocated in the process exchange arena by a
   /// sending shard's copy-out (Generation == InFlightGeneration while in
-  /// flight), adopted by the receiver's heap as tenured space (retagged to
-  /// its oldest generation). The flag survives adoption so ownership
+  /// flight), adopted by the receiver's heap as young space (retagged to
+  /// its generation 0). The flag survives adoption so ownership
   /// accounting can audit the exchange arena.
   static constexpr uint8_t FlagDonated = 1 << 3;
 
@@ -192,6 +192,17 @@ public:
     return reinterpret_cast<uintptr_t *>(Base +
                                          static_cast<uintptr_t>(SegmentIndex) *
                                              SegmentBytes);
+  }
+
+  /// Overwrites every word of the run at \p FirstSegment with \p Pattern
+  /// (from-space poisoning: a stale pointer into a freed run then reads
+  /// garbage that no valid object could hold).
+  void fillRun(uint32_t FirstSegment, uint32_t NumSegments,
+               uintptr_t Pattern) {
+    uintptr_t *Base = segmentBase(FirstSegment);
+    const size_t Words = static_cast<size_t>(NumSegments) * SegmentWords;
+    for (size_t I = 0; I != Words; ++I)
+      Base[I] = Pattern;
   }
 
   size_t totalSegments() const { return TotalSegments; }

@@ -94,6 +94,14 @@ public:
     return Out;
   }
 
+  /// Appends sealed run \p R taken over from elsewhere (an adopted
+  /// donation run). The next allocation starts a fresh run after it.
+  void appendSealedRun(const Arena &A, const SegmentRun &R) {
+    sealCurrentRun(A);
+    Runs.push_back(R);
+    Alloc = Limit = nullptr;
+  }
+
   /// Records the final used size of the run being bumped into. Called
   /// before the run list is walked or detached.
   void sealCurrentRun(const Arena &A) {

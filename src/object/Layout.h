@@ -149,14 +149,6 @@ constexpr bool kindHasPointers(ObjectKind K) {
   return false;
 }
 
-/// Number of tagged payload slots to trace (0 for pointerless kinds).
-inline size_t objectPointerFieldCount(uintptr_t Header) {
-  const ObjectKind K = headerKind(Header);
-  if (!kindHasPointers(K))
-    return 0;
-  return objectSizeInWords(Header) - 1;
-}
-
 //===----------------------------------------------------------------------===//
 // Raw field access. These do not apply the write barrier; mutation that
 // can create old-to-young pointers must go through Heap's setters.

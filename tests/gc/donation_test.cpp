@@ -99,7 +99,8 @@ TEST(DonationTest, SharingCyclesAndAllKindsSurviveDonation) {
   Heap Receiver(exchangeConfig(X));
 
   // A record holding: a string referenced twice (sharing), a vector, a
-  // box, a bytevector, a flonum, and a cyclic pair.
+  // box, a bytevector, a flonum, a cyclic pair, a vector too big for one
+  // segment, and a weak pair.
   Root Str(Sender, Sender.makeString("donated"));
   Root Vec(Sender, Sender.makeVector(3, Value::fixnum(0)));
   Sender.vectorSet(Vec, 0, Str);
@@ -109,11 +110,20 @@ TEST(DonationTest, SharingCyclesAndAllKindsSurviveDonation) {
   std::memcpy(bytevectorData(BV.get()), "\x01\x02\x03\x04", 4);
   Root Cycle(Sender, Sender.cons(Value::fixnum(7), Value::nil()));
   Sender.setCdr(Cycle, Cycle); // Self-cycle.
-  Root Rec(Sender, Sender.makeRecord(Value::fixnum(42), 5, Value::nil()));
+  // The big vector's copy fills a dedicated two-segment run exactly; its
+  // last slot reaches a box nothing else does, so the copy-out's sweep
+  // must cross that run to find the box's copy in the run after it.
+  const size_t BigLen = 2 * SegmentWords - 1;
+  Root Big(Sender, Sender.makeVector(BigLen, Value::fixnum(0)));
+  Sender.vectorSet(Big, BigLen - 1, Sender.makeBox(Value::fixnum(99)));
+  Root Weak(Sender, Sender.weakCons(Str, Value::fixnum(5)));
+  Root Rec(Sender, Sender.makeRecord(Value::fixnum(42), 7, Value::nil()));
   Sender.recordSet(Rec, 1, Vec);
   Sender.recordSet(Rec, 2, Sender.makeBox(Value::fixnum(77)));
   Sender.recordSet(Rec, 3, BV);
   Sender.recordSet(Rec, 4, Cycle);
+  Sender.recordSet(Rec, 5, Big);
+  Sender.recordSet(Rec, 6, Weak);
 
   DonatedGraph G = Sender.donateGraph(Rec.get());
   Root Out(Receiver, Receiver.adoptDonatedGraph(G));
@@ -135,6 +145,17 @@ TEST(DonationTest, SharingCyclesAndAllKindsSurviveDonation) {
   ASSERT_TRUE(OCycle.isPair());
   EXPECT_EQ(pairCar(OCycle).asFixnum(), 7);
   EXPECT_EQ(pairCdr(OCycle).bits(), OCycle.bits()); // Cycle preserved.
+  Value OBig = objectField(Out.get(), 5);
+  ASSERT_TRUE(isVector(OBig));
+  ASSERT_EQ(objectLength(OBig), BigLen);
+  Value OLast = objectField(OBig, BigLen - 1);
+  ASSERT_TRUE(isBox(OLast));
+  EXPECT_EQ(objectField(OLast, 0).asFixnum(), 99);
+  Value OWeak = objectField(Out.get(), 6);
+  ASSERT_TRUE(Receiver.isWeakPair(OWeak)) << "weak pairs stay weak";
+  EXPECT_EQ(pairCar(OWeak).bits(), objectField(OVec, 0).bits())
+      << "the weak car crosses and keeps its sharing";
+  EXPECT_EQ(pairCdr(OWeak).asFixnum(), 5);
   Receiver.verifyHeap();
 }
 

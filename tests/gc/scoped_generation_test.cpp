@@ -16,6 +16,7 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
+#include "gc/telemetry/AllocProfiler.h"
 #include "heap/SharedImmutableSpace.h"
 
 #include <gtest/gtest.h>
@@ -356,6 +357,35 @@ TEST(ScopeDonationTest, SelfContainedScopeClosesByHandover) {
             pairCar(Adopted.get()).bits())
       << "sharing survives the evacuation out of the adopted runs";
   Receiver.verifyHeap();
+}
+
+TEST(ScopeDonationTest, WholesaleCloseDropsTheScopesProfilerSamples) {
+  // The handed-over segments belong to another heap (or the free list)
+  // from the close on, so the sender must not keep profiler samples
+  // pointing into them: its next collection would read their tags.
+  SharedImmutableSpace X(16u * 1024 * 1024);
+  HeapConfig C = donationConfig(X);
+  C.ProfileSampleBytes = 16;
+  Heap Sender(C);
+  auto SamplesInExchange = [&] {
+    size_t N = 0;
+    for (const auto &O : Sender.allocProfiler().trackedObjects())
+      N += X.arena().containsAddress(Value::fromBits(O.Bits).heapAddress());
+    return N;
+  };
+  Sender.openDonationScope();
+  Value L = Value::nil();
+  for (int I = 0; I != 200; ++I)
+    L = Sender.cons(Value::fixnum(I), L);
+  ASSERT_GT(SamplesInExchange(), 0u);
+
+  DonatedGraph G = Sender.tryCloseScopeDonating(L);
+  ASSERT_FALSE(G.empty());
+  EXPECT_EQ(SamplesInExchange(), 0u);
+  EXPECT_GT(Sender.allocProfiler().sites()[0].DeadBytes, 0u)
+      << "handed-over samples are credited as dead, like a close's";
+  G = DonatedGraph(); // Dropped: the segments return to the free list.
+  Sender.collectFull();
 }
 
 TEST(ScopeDonationTest, EscapeVetoesWholesaleClose) {

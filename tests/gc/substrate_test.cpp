@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "heap/Arena.h"
+#include "heap/ObjectWalk.h"
 #include "heap/SpaceContext.h"
 #include "support/MathExtras.h"
 #include "support/PtrHashSet.h"
@@ -258,6 +259,105 @@ TEST(SpaceContextTest, TakeRunsResets) {
   EXPECT_TRUE(C.empty());
   EXPECT_EQ(C.usedWords(A), 0u);
   A.freeRun(Runs[0].FirstSegment, Runs[0].SegmentCount);
+}
+
+//===----------------------------------------------------------------------===//
+// ObjectWalk: the walk, slot scan and copy core.
+//===----------------------------------------------------------------------===//
+
+/// Allocates a vector of length \p Len in \p C (its slots are left as
+/// the arena handed them out: the walk reads only headers).
+void allocVector(Arena &A, SpaceContext &C, size_t Len) {
+  const uintptr_t Header = makeHeader(ObjectKind::Vector, Len);
+  C.allocate(A, SpaceKind::Typed, 0, objectAllocWords(Header))[0] = Header;
+}
+
+TEST(ObjectWalkTest, WalkVisitsObjectsAllocatedBehindTheCursor) {
+  // The Cheney invariant: objects the visitor allocates are visited by
+  // the same walk, in allocation order, across as many runs as they take.
+  Arena A(16 * 1024 * 1024);
+  SpaceContext C;
+  C.allocate(A, SpaceKind::Pair, 0, 2)[0] = Value::fixnum(0).bits();
+  const intptr_t N = 3 * SegmentWords;
+  intptr_t Expected = 0;
+  WalkCursor Cur;
+  EXPECT_EQ(walkObjects(A, C, SpaceKind::Pair, Cur,
+                        [&](uintptr_t *P) {
+                          const intptr_t K = Value::fromBits(P[0]).asFixnum();
+                          EXPECT_EQ(K, Expected++);
+                          if (K + 1 < N)
+                            C.allocate(A, SpaceKind::Pair, 0, 2)[0] =
+                                Value::fixnum(K + 1).bits();
+                        }),
+            static_cast<size_t>(N));
+  EXPECT_GT(C.runs().size(), 1u);
+  // The cursor rests at the frontier, ready to resume.
+  C.allocate(A, SpaceKind::Pair, 0, 2)[0] = Value::fixnum(N).bits();
+  EXPECT_EQ(walkObjects(A, C, SpaceKind::Pair, Cur, [](uintptr_t *) {}), 1u);
+}
+
+TEST(ObjectWalkTest, WalkCrossesADedicatedRunIntoTheOpenLastRun) {
+  Arena A(16 * 1024 * 1024);
+  SpaceContext C;
+  allocVector(A, C, 1);
+  const size_t BigLen = 2 * SegmentWords - 1; // Fills two segments exactly.
+  std::vector<size_t> Lengths;
+  WalkCursor Cur;
+  walkObjects(A, C, SpaceKind::Typed, Cur, [&](uintptr_t *P) {
+    Lengths.push_back(headerLength(*P));
+    // The first object allocates a vector in a dedicated multi-segment
+    // run, the big vector a small object in the run after it.
+    if (Lengths.size() < 3)
+      allocVector(A, C, Lengths.size() == 1 ? BigLen : 3);
+  });
+  EXPECT_EQ(Lengths, (std::vector<size_t>{1, BigLen, 3}));
+  ASSERT_EQ(C.runs().size(), 3u);
+  EXPECT_EQ(C.runs()[1].SegmentCount, 2u);
+  EXPECT_EQ(C.runs().back().UsedWords, 0u)
+      << "the last run is still open: only the live frontier bounds it";
+}
+
+TEST(ObjectWalkTest, SlotScanFlagsTheWeakCarAndSkipsDataKinds) {
+  using Slots = std::vector<std::pair<uintptr_t *, bool>>;
+  auto Scan = [](uintptr_t *P, SpaceKind Space) {
+    Slots Out;
+    forEachSlot(P, Space, [&](uintptr_t *Slot, bool WeakCar) {
+      Out.push_back({Slot, WeakCar});
+    });
+    return Out;
+  };
+  uintptr_t Cell[2] = {};
+  EXPECT_EQ(Scan(Cell, SpaceKind::Pair),
+            (Slots{{Cell, false}, {Cell + 1, false}}));
+  EXPECT_EQ(Scan(Cell, SpaceKind::WeakPair),
+            (Slots{{Cell, true}, {Cell + 1, false}}));
+  uintptr_t Vec[3] = {makeHeader(ObjectKind::Vector, 2)};
+  EXPECT_EQ(Scan(Vec, SpaceKind::Typed),
+            (Slots{{Vec + 1, false}, {Vec + 2, false}}));
+  uintptr_t Str[3] = {makeHeader(ObjectKind::String, 16)};
+  uintptr_t Flo[2] = {makeHeader(ObjectKind::Flonum, 0)};
+  EXPECT_TRUE(Scan(Str, SpaceKind::Data).empty());
+  EXPECT_TRUE(Scan(Flo, SpaceKind::Data).empty());
+  // A slot visitor returning false stops the scan.
+  EXPECT_FALSE(forEachSlot(Vec, SpaceKind::Typed,
+                           [](uintptr_t *, bool) { return false; }));
+}
+
+TEST(ObjectWalkTest, CopyZeroesThePadWordOfAOneWordObject) {
+  // An empty vector is one word (its header); the allocator reserves two
+  // so a forwarding pointer fits, and the copy pads deterministically.
+  uintptr_t From[2] = {makeHeader(ObjectKind::Vector, 0), 0xABABABABu};
+  uintptr_t To[2] = {~uintptr_t(0), ~uintptr_t(0)};
+  size_t Requested = 0;
+  EXPECT_EQ(copyObject(From, SpaceKind::Typed,
+                       [&](size_t Words) {
+                         Requested = Words;
+                         return To;
+                       }),
+            To);
+  EXPECT_EQ(Requested, 2u);
+  EXPECT_EQ(To[0], From[0]);
+  EXPECT_EQ(To[1], 0u);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "core/Guardian.h"
 #include "gc/Heap.h"
 #include "gc/Roots.h"
+#include "heap/ObjectWalk.h"
 #include "object/Layout.h"
 #include "runtime/Shard.h"
 
@@ -91,13 +92,11 @@ void describeGraph(Heap &H, Value V, std::map<uintptr_t, int> &Seen,
     return;
   }
   default: {
-    const uintptr_t Hdr = *V.objectHeader();
-    Out << "obj" << static_cast<unsigned>(headerKind(Hdr)) << '[';
-    const size_t Fields = objectPointerFieldCount(Hdr);
-    for (size_t I = 0; I != Fields; ++I) {
-      describeGraph(H, objectField(V, I), Seen, Next, Out);
+    Out << "obj" << static_cast<unsigned>(objectKind(V)) << '[';
+    forEachSlot(objectStart(V), SpaceKind::Typed, [&](uintptr_t *Slot, bool) {
+      describeGraph(H, Value::fromBits(*Slot), Seen, Next, Out);
       Out << ' ';
-    }
+    });
     Out << ']';
     return;
   }

@@ -21,7 +21,9 @@ Rules
 ``segment-base``
     ``segmentBase`` arithmetic outside ``src/heap/``. Only the arena
     substrate may touch raw segment memory; everything else goes
-    through typed accessors.
+    through typed accessors or the object-walk core
+    (``heap/ObjectWalk.h``). Under ``src/`` the rule cannot be
+    suppressed; tests may still annotate a use.
 
 ``barrier-bypass``
     A raw slot write (``pairSetCarRaw``/``pairSetCdrRaw``/
@@ -51,8 +53,9 @@ Rules
     through its include closure, i.e. the header is not self-contained.
 
 Suppression: ``// rootcheck:allow(rule-id)`` on the offending line or
-the line above it. Diagnostics print as ``file:line: rule-id: message``
-and a nonzero exit status reports that at least one was emitted.
+the line above it (except ``segment-base`` under ``src/``). Diagnostics
+print as ``file:line: rule-id: message`` and a nonzero exit status
+reports that at least one was emitted.
 """
 
 from __future__ import annotations
@@ -317,19 +320,23 @@ def check_unrooted_values(path: str, lines: list[str]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def check_segment_base(path: str, rel: str, lines: list[str]) -> list[Diagnostic]:
-    if rel.replace(os.sep, "/").startswith(("src/heap/", "tools/")):
+    rel = rel.replace(os.sep, "/")
+    if rel.startswith(("src/heap/", "tools/")):
         return []
+    # Program code has the object-walk core; only tests may annotate a
+    # raw use (to assert placement the core does not expose).
+    suppressible = not rel.startswith("src/")
     diags = []
     for index, raw in enumerate(lines):
         if "segmentBase" not in strip_code(raw):
             continue
-        if "segment-base" in allowed_rules(lines, index):
+        if suppressible and "segment-base" in allowed_rules(lines, index):
             continue
         diags.append(Diagnostic(
             path, index + 1, "segment-base",
-            "raw segmentBase arithmetic outside src/heap/; go through "
-            "typed accessors, or annotate the collector-internal use "
-            "with rootcheck:allow(segment-base)",
+            "raw segmentBase arithmetic outside src/heap/; walk, scan "
+            "and copy objects through heap/ObjectWalk.h (tests may "
+            "annotate a use with rootcheck:allow(segment-base))",
         ))
     return diags
 
