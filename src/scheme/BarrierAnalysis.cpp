@@ -143,8 +143,8 @@ BarrierElisionStats gengc::runBarrierElision(std::vector<uint32_t> &Code,
       push(Out, Imm); // Pushes void.
       break;
     case Op::GlobalSet:
-      // Interpreter::setVariable mutates the existing binding pair
-      // without allocating, so frame freshness survives.
+      // Mutates the existing binding cell (and links the operand to
+      // it) without allocating, so frame freshness survives.
       pop(Out);
       push(Out, Imm);
       break;

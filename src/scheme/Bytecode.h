@@ -48,14 +48,18 @@ enum class Op : uint32_t {
   /// barrier may be skipped; written by BarrierAnalysis, StoreFlagBarrier
   /// as emitted).
   LocalSet,
-  /// Push the global bound to the symbol constants[k]; error if
-  /// unbound. Operands: k.
+  /// Push the value of the global named by constants[k]; error if
+  /// unbound. The slot holds the symbol until first use and its binding
+  /// cell, the global environment's (symbol . value) pair, after it; an
+  /// unbound symbol stays unlinked. Operands: k.
   GlobalRef,
-  /// Pop and define the global constants[k]; pushes void. Operands: k,
+  /// Pop and define the global named by constants[k] (a symbol until
+  /// first use, its binding cell after); pushes void. Operands: k,
   /// elide (StoreFlag).
   GlobalDef,
-  /// Pop and set! the global constants[k]; error if unbound; pushes
-  /// void. Operands: k, elide (StoreFlag).
+  /// Pop and set! the global named by constants[k] (a symbol until
+  /// first use, its binding cell after); error if unbound; pushes void.
+  /// Operands: k, elide (StoreFlag).
   GlobalSet,
   /// Push a VM closure over code unit u capturing the current
   /// environment. Operands: u.
@@ -197,6 +201,14 @@ public:
     GENGC_ASSERT(U.ConstantsIndex != SIZE_MAX,
                  "code unit used before its constants were frozen");
     return objectField(ConstantPools[U.ConstantsIndex], K);
+  }
+  /// Overwrites constant k of unit \p U (the VM links a global operand
+  /// to its binding cell). Barriered: the pool may be old while the
+  /// cell is young or inside a scope.
+  void setConstant(const CodeUnit &U, uint32_t K, Value V) {
+    GENGC_ASSERT(U.ConstantsIndex != SIZE_MAX,
+                 "code unit used before its constants were frozen");
+    heap().vectorSet(ConstantPools[U.ConstantsIndex], K, V);
   }
 
 private:

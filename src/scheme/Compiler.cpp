@@ -36,12 +36,13 @@ size_t Compiler::emitJump(UnitBuilder &B, Op O) {
   return B.Code.size() - 1;
 }
 
-uint32_t Compiler::addConstant(UnitBuilder &B, Value V) {
+uint32_t Compiler::addConstant(UnitBuilder &B, Value V, bool Global) {
   RootVector &Constants = *B.Constants;
   for (size_t K = 0; K != Constants.size(); ++K)
-    if (Constants[K] == V)
+    if (Constants[K] == V && B.GlobalSlots[K] == Global)
       return static_cast<uint32_t>(K);
   Constants.push_back(V);
+  B.GlobalSlots.push_back(Global);
   return static_cast<uint32_t>(Constants.size() - 1);
 }
 
@@ -113,7 +114,7 @@ void Compiler::compileExpr(UnitBuilder &B, Value Expr, bool Tail) {
     if (resolveLexical(Expr, Depth, Index))
       emit(B, Op::LocalRef, Depth, Index);
     else
-      emit(B, Op::GlobalRef, addConstant(B, Expr));
+      emit(B, Op::GlobalRef, addConstant(B, Expr, /*Global=*/true));
     return;
   }
   if (!Expr.isPair()) {
@@ -253,7 +254,8 @@ void Compiler::compileDefine(UnitBuilder &B, Value Rest) {
     popFrame();
     size_t Unit = finishUnit(UB);
     emit(B, Op::MakeClosure, static_cast<uint32_t>(Unit));
-    emit(B, Op::GlobalDef, addConstant(B, Name), StoreFlagBarrier);
+    emit(B, Op::GlobalDef, addConstant(B, Name, /*Global=*/true),
+         StoreFlagBarrier);
     return;
   }
   if (!isSymbol(Target)) {
@@ -261,7 +263,8 @@ void Compiler::compileDefine(UnitBuilder &B, Value Rest) {
     return;
   }
   compileExpr(B, pairCar(pairCdr(Rest)), /*Tail=*/false);
-  emit(B, Op::GlobalDef, addConstant(B, Target), StoreFlagBarrier);
+  emit(B, Op::GlobalDef, addConstant(B, Target, /*Global=*/true),
+       StoreFlagBarrier);
 }
 
 void Compiler::compileSet(UnitBuilder &B, Value Rest) {
@@ -275,7 +278,8 @@ void Compiler::compileSet(UnitBuilder &B, Value Rest) {
   if (resolveLexical(Name, Depth, Index))
     emit(B, Op::LocalSet, Depth, Index, StoreFlagBarrier);
   else
-    emit(B, Op::GlobalSet, addConstant(B, Name), StoreFlagBarrier);
+    emit(B, Op::GlobalSet, addConstant(B, Name, /*Global=*/true),
+         StoreFlagBarrier);
 }
 
 size_t Compiler::compileProcedureUnit(Value Clauses,

@@ -65,6 +65,9 @@ private:
   struct UnitBuilder {
     std::vector<uint32_t> Code;
     std::unique_ptr<RootVector> Constants;
+    /// Per constant slot: true if it is a global operand (see
+    /// addConstant).
+    std::vector<bool> GlobalSlots;
     std::string Name;
     explicit UnitBuilder(Heap &H)
         : Constants(std::make_unique<RootVector>(H)) {}
@@ -105,7 +108,11 @@ private:
   void patchJump(UnitBuilder &B, size_t OperandAt) {
     B.Code[OperandAt] = static_cast<uint32_t>(B.Code.size());
   }
-  uint32_t addConstant(UnitBuilder &B, Value V);
+  /// Returns a constant slot holding \p V, reusing an eq? slot of the
+  /// same kind. Global operands (\p Global: the symbol of a GlobalRef,
+  /// GlobalDef or GlobalSet) never share a slot with quoted data, since
+  /// the VM overwrites them with binding cells on first use.
+  uint32_t addConstant(UnitBuilder &B, Value V, bool Global = false);
 
   //===--- Scopes ------------------------------------------------------------===//
   /// Pushes a frame of the given formals (list, possibly improper, or a

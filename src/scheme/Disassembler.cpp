@@ -100,9 +100,13 @@ std::string gengc::disassemble(const CompiledProgram &Program,
       Out += " " + std::to_string(Unit.Code[PC]);
       if (K == 0 && Info.FirstOperandIsConstant) {
         Heap &H = const_cast<CompiledProgram &>(Program).heap();
-        Out += " {" +
-               writeToString(H, Program.constantOf(Unit, Unit.Code[PC])) +
-               "}";
+        Value C = Program.constantOf(Unit, Unit.Code[PC]);
+        // A global operand prints as its symbol, linked to its binding
+        // cell or not, so a unit disassembles the same before and after
+        // it runs.
+        if (O != Op::Const && C.isPair())
+          C = pairCar(C);
+        Out += " {" + writeToString(H, C) + "}";
       }
       ++PC;
     }

@@ -121,16 +121,8 @@ void Interpreter::defineGlobalSymbol(Value Symbol, Value V,
   defineVariable(GlobalEnv, Symbol, V, VIsImmediate);
 }
 
-Value Interpreter::lookupGlobalSymbol(Value Symbol) {
-  Value Entry = listAssq(Symbol, objectField(GlobalEnv.get(), EnvBindings));
-  if (Entry.isPair())
-    return pairCdr(Entry);
-  return Value::unbound();
-}
-
-bool Interpreter::setGlobalSymbol(Value Symbol, Value V,
-                                  bool VIsImmediate) {
-  return setVariable(Symbol, GlobalEnv, V, VIsImmediate);
+Value Interpreter::globalCell(Value Symbol) {
+  return listAssq(Symbol, objectField(GlobalEnv.get(), EnvBindings));
 }
 
 //===----------------------------------------------------------------------===//

@@ -87,12 +87,11 @@ public:
   /// \p VIsImmediate is BarrierAnalysis's claim that \p V is a
   /// non-pointer immediate, letting the binding store skip its barrier.
   void defineGlobalSymbol(Value Symbol, Value V, bool VIsImmediate = false);
-  /// Looks up \p Symbol in the global environment; Value::unbound() if
-  /// absent (no error is signalled).
-  Value lookupGlobalSymbol(Value Symbol);
-  /// set!s \p Symbol in the global environment; returns false if
-  /// unbound. \p VIsImmediate as for defineGlobalSymbol.
-  bool setGlobalSymbol(Value Symbol, Value V, bool VIsImmediate = false);
+  /// The binding cell of \p Symbol in the global environment, its
+  /// (symbol . value) pair, or #f if unbound. Cells are never removed
+  /// and define/set! mutate them in place, so a cell found once stays
+  /// valid: the VM links its global operands to them.
+  Value globalCell(Value Symbol);
   /// Registers a primitive procedure.
   void definePrimitive(std::string_view Name, intptr_t MinArgs,
                        intptr_t MaxArgs, PrimitiveFn Fn);

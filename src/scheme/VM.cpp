@@ -81,6 +81,30 @@ uint32_t VirtualMachine::unitSite(uint32_t UnitIndex) {
   return Site;
 }
 
+Value VirtualMachine::globalCell(const CodeUnit &U, uint32_t K) {
+  Value Slot = Program.constantOf(U, K);
+  if (Slot.isPair())
+    return Slot;
+  Value Cell = I.globalCell(Slot);
+  if (Cell.isPair())
+    Program.setConstant(U, K, Cell);
+  return Cell;
+}
+
+std::string VirtualMachine::globalName(const CodeUnit &U, uint32_t K) {
+  Value Slot = Program.constantOf(U, K);
+  return H.symbolName(Slot.isPair() ? pairCar(Slot) : Slot);
+}
+
+void VirtualMachine::writeCell(Value Cell, Value V, bool VIsImmediate) {
+  // BarrierAnalysis proved the immediate claim; the heap re-checks it
+  // under HeapConfig::VerifyElision.
+  if (VIsImmediate)
+    H.setCdrElided(Cell, V, StoreElision::Immediate);
+  else
+    H.setCdr(Cell, V);
+}
+
 Value VirtualMachine::execute(size_t BaseFrame) {
   Root Result(H, Value::voidV());
 
@@ -177,32 +201,39 @@ Value VirtualMachine::execute(size_t BaseFrame) {
       break;
     }
     case Op::GlobalRef: {
-      Value Sym = Program.constantOf(U, U.Code[F.PC++]);
-      Value V = I.lookupGlobalSymbol(Sym);
-      if (V.isUnbound())
-        return signalError("unbound variable: " + H.symbolName(Sym));
-      ValueStack.push_back(V);
+      const uint32_t K = U.Code[F.PC++];
+      Value Cell = globalCell(U, K);
+      if (!Cell.isPair() || pairCdr(Cell).isUnbound())
+        return signalError("unbound variable: " + globalName(U, K));
+      ValueStack.push_back(pairCdr(Cell));
       break;
     }
     case Op::GlobalDef: {
-      Value Sym = Program.constantOf(U, U.Code[F.PC++]);
-      uint32_t Elide = U.Code[F.PC++];
+      const uint32_t K = U.Code[F.PC++];
+      const bool Imm = U.Code[F.PC++] == StoreFlagImm;
       Value V = ValueStack.back();
       ValueStack.pop_back();
-      // Name anonymous VM closures for better diagnostics? The record
-      // has no name slot; skip.
-      I.defineGlobalSymbol(Sym, V, Elide == StoreFlagImm);
+      Value Slot = Program.constantOf(U, K);
+      if (Slot.isPair()) {
+        writeCell(Slot, V, Imm);
+      } else {
+        // Redefines in place if bound; else conses the new cell (a
+        // safepoint), which is then linked through the re-read slot.
+        I.defineGlobalSymbol(Slot, V, Imm);
+        globalCell(U, K);
+      }
       ValueStack.push_back(Value::voidV());
       break;
     }
     case Op::GlobalSet: {
-      Value Sym = Program.constantOf(U, U.Code[F.PC++]);
-      uint32_t Elide = U.Code[F.PC++];
+      const uint32_t K = U.Code[F.PC++];
+      const bool Imm = U.Code[F.PC++] == StoreFlagImm;
       Value V = ValueStack.back();
       ValueStack.pop_back();
-      if (!I.setGlobalSymbol(Sym, V, Elide == StoreFlagImm))
-        return signalError("set!: unbound variable: " +
-                           H.symbolName(Sym));
+      Value Cell = globalCell(U, K);
+      if (!Cell.isPair())
+        return signalError("set!: unbound variable: " + globalName(U, K));
+      writeCell(Cell, V, Imm);
       ValueStack.push_back(Value::voidV());
       break;
     }

@@ -84,6 +84,17 @@ private:
   /// the value stack starting at \p ProcBase + 1.
   void pushCallFrame(Value VmClosure, size_t ProcBase, uint32_t ArgCount);
 
+  /// The binding cell global operand \p K of \p U names. On first use
+  /// the slot holds the symbol: look its cell up and link the slot to
+  /// it (no allocation, so no safepoint). #f, and the slot stays
+  /// unlinked, while the symbol is unbound.
+  Value globalCell(const CodeUnit &U, uint32_t K);
+  /// The symbol name of global operand \p K of \p U, linked or not.
+  std::string globalName(const CodeUnit &U, uint32_t K);
+  /// Stores \p V into a binding cell; \p VIsImmediate is
+  /// BarrierAnalysis's claim (StoreFlagImm) that V is a non-pointer.
+  void writeCell(Value Cell, Value V, bool VIsImmediate);
+
   Value envParent(Value Env) { return objectField(Env, 0); }
   Value currentEnv() const { return EnvStack[EnvStack.size() - 1]; }
   void setCurrentEnv(Value Env) { EnvStack[EnvStack.size() - 1] = Env; }

@@ -39,6 +39,29 @@ protected:
     return writeToString(H, V);
   }
 
+  /// The last code unit compiled under \p Name.
+  const CodeUnit &unitNamed(const std::string &Name) {
+    const CompiledProgram &P = VM.program();
+    for (size_t U = P.unitCount(); U-- != 0;)
+      if (P.unit(U).Name == Name)
+        return P.unit(U);
+    ADD_FAILURE() << "no code unit named " << Name;
+    return P.unit(0);
+  }
+
+  /// The constant slot of \p U's first global operand: its symbol until
+  /// first use, its binding cell once linked.
+  Value firstGlobalSlot(const CodeUnit &U) {
+    for (size_t PC = 0; PC < U.Code.size();) {
+      const Op O = static_cast<Op>(U.Code[PC]);
+      if (O == Op::GlobalRef || O == Op::GlobalDef || O == Op::GlobalSet)
+        return VM.program().constantOf(U, U.Code[PC + 1]);
+      PC += 1 + opOperandCount(O);
+    }
+    ADD_FAILURE() << "unit " << U.Name << " has no global operand";
+    return Value::unbound();
+  }
+
   Heap H;
   Interpreter I;
   VirtualMachine VM;
@@ -171,6 +194,21 @@ TEST_F(VmTest, DisassemblerProducesText) {
   std::string Text = disassemble(P, P.unit(0));
   EXPECT_NE(Text.find("bind"), std::string::npos);
   EXPECT_NE(Text.find("return"), std::string::npos);
+
+  // Running a unit links its global operands to their binding cells;
+  // the disassembly still names the symbols, byte for byte.
+  run("(define n 0)"
+      "(define (g x) (set! n (+ n x)) (define m n) (list 'car car m))");
+  const std::string Before = disassemble(P, unitNamed("g"));
+  EXPECT_NE(Before.find("global-set 1 {n}"), std::string::npos) << Before;
+  EXPECT_NE(Before.find("global-def 2 {m}"), std::string::npos) << Before;
+  // Quoted 'car and the global car take separate slots.
+  EXPECT_NE(Before.find("const 4 {car}\n26: global-ref 5 {car}"),
+            std::string::npos)
+      << Before;
+  EXPECT_EQ(run("(g 2)"), "(car #<primitive car> 2)");
+  EXPECT_TRUE(firstGlobalSlot(unitNamed("g")).isPair()) << "linked";
+  EXPECT_EQ(disassemble(P, unitNamed("g")), Before);
 }
 
 TEST_F(VmTest, CompileErrorsReported) {
@@ -235,6 +273,113 @@ TEST_F(VmTest, Figure1GuardedHashTableCompiled) {
   EXPECT_EQ(run("(table (cons 1 'k1) 'fresh)"), "fresh")
       << "dead key's association removed by the compiled clean-up loop";
   H.verifyHeap();
+}
+
+//===----------------------------------------------------------------------===//
+// Global links: the VM resolves each global operand to its binding cell
+// (the global environment's (symbol . value) pair) on first use, then
+// reads and writes through the cell.
+//===----------------------------------------------------------------------===//
+
+TEST_F(VmTest, LinkedRefSeesRedefinitionFromEitherEngine) {
+  run("(define (k) 1) (define limit 10) (define (use) (list (k) limit))");
+  EXPECT_EQ(run("(use)"), "(1 10)");
+  EXPECT_TRUE(firstGlobalSlot(unitNamed("use")).isPair()) << "linked";
+  run("(define (k) 2) (define limit 20)");
+  EXPECT_EQ(run("(use)"), "(2 20)");
+  I.evalString("(define (k) 3) (define limit 30)");
+  ASSERT_FALSE(I.hadError()) << I.errorMessage();
+  EXPECT_EQ(run("(use)"), "(3 30)");
+}
+
+TEST_F(VmTest, LinkedRefSeesSetFromEitherEngine) {
+  run("(define x 1) (define (get) x) (define (put! v) (set! x v))");
+  EXPECT_EQ(run("(get)"), "1");
+  run("(set! x 2)");
+  EXPECT_EQ(run("(get)"), "2");
+  I.evalString("(set! x 'three)");
+  ASSERT_FALSE(I.hadError()) << I.errorMessage();
+  EXPECT_EQ(run("(get)"), "three");
+  // A linked set! writes the cell both engines read.
+  run("(put! 4) (put! (cons 5 5))");
+  EXPECT_EQ(writeToString(H, I.evalString("x")), "(5 . 5)");
+  EXPECT_EQ(run("(get)"), "(5 . 5)");
+}
+
+TEST_F(VmTest, ForwardReferenceErrorsUnlinkedThenLinks) {
+  run("(define (f) later) (define (g v) (set! also-later v))");
+  VM.evalString("(f)");
+  ASSERT_TRUE(VM.hadError());
+  EXPECT_EQ(VM.errorMessage(), "unbound variable: later");
+  VM.clearError();
+  VM.evalString("(g 1)");
+  ASSERT_TRUE(VM.hadError());
+  EXPECT_EQ(VM.errorMessage(), "set!: unbound variable: also-later");
+  VM.clearError();
+  EXPECT_TRUE(isSymbol(firstGlobalSlot(unitNamed("f")))) << "not linked";
+  EXPECT_TRUE(isSymbol(firstGlobalSlot(unitNamed("g")))) << "not linked";
+
+  run("(define later 5) (define also-later 0)");
+  EXPECT_EQ(run("(f)"), "5");
+  run("(g 6)");
+  EXPECT_EQ(run("also-later"), "6");
+  const Value F = firstGlobalSlot(unitNamed("f"));
+  ASSERT_TRUE(F.isPair());
+  EXPECT_TRUE(pairCar(F) == H.intern("later"));
+}
+
+TEST_F(VmTest, QuotedSymbolNeverSharesALinkedSlot) {
+  // 'car and car are one eq? symbol; if they shared a constant slot,
+  // linking car would turn the quoted datum into the binding cell.
+  run("(define (f) (cons 'car car))");
+  for (int K = 0; K != 3; ++K) {
+    EXPECT_EQ(run("(car (f))"), "car");
+    EXPECT_EQ(run("(eq? (car (f)) 'car)"), "#t");
+    EXPECT_EQ(run("(procedure? (cdr (f)))"), "#t");
+  }
+}
+
+TEST_F(VmTest, LinksSurviveCollection) {
+  // Unlinked operands in pools that a full collection makes old; the
+  // cells they link to are created afterwards, young. Each link store
+  // is an old-to-young edge that the minor collection must update.
+  run("(define (get) young-global)"
+      "(define (setup v) (define made-later v))");
+  H.collectFull();
+  run("(define young-global (cons 'young 1))");
+  EXPECT_EQ(run("(car (get))"), "young");
+  run("(setup (cons 'made 2))");
+  H.collectMinor();
+  H.verifyHeap();
+  EXPECT_EQ(run("(get)"), "(young . 1)");
+  EXPECT_EQ(run("made-later"), "(made . 2)");
+  H.collectFull();
+  H.verifyHeap();
+  run("(set! young-global 'after) (setup 'again)");
+  EXPECT_EQ(run("(list (get) made-later)"), "(after again)");
+  H.collectFull();
+  H.verifyHeap();
+}
+
+TEST_F(VmTest, TwoInterpretersOnOneHeapKeepSeparateGlobals) {
+  Interpreter I2(H);
+  VirtualMachine VM2(I2);
+  auto Run2 = [&](const char *Src) {
+    Value V = VM2.evalString(Src);
+    EXPECT_FALSE(VM2.hadError()) << VM2.errorMessage() << " in: " << Src;
+    return writeToString(H, V);
+  };
+  run("(define who 'first) (define (whoami) who)");
+  Run2("(define who 'second) (define (whoami) who)");
+  EXPECT_EQ(run("(whoami)"), "first");
+  EXPECT_EQ(Run2("(whoami)"), "second");
+  run("(set! who 'first-again)");
+  EXPECT_EQ(Run2("(whoami)"), "second");
+  EXPECT_EQ(run("(whoami)"), "first-again");
+  H.collectFull();
+  H.verifyHeap();
+  EXPECT_EQ(run("(whoami)"), "first-again");
+  EXPECT_EQ(Run2("(whoami)"), "second");
 }
 
 //===----------------------------------------------------------------------===//
@@ -382,6 +527,16 @@ const char *Corpus[] = {
     // begin sequencing with side effects.
     "(define acc '())"
     "(begin (set! acc (cons 1 acc)) (set! acc (cons 2 acc)) acc)",
+    // Redefinition after a first call has linked the caller's operands.
+    "(define (k) 1) (define (use) (k)) (define a (use))"
+    "(define (k) 2) (list a (use))",
+    // set! of a global read by a closure.
+    "(define cnt 10) (define (make-reader) (lambda () cnt))"
+    "(define rd (make-reader)) (define before (rd))"
+    "(set! cnt (+ cnt 5)) (list before (rd))",
+    // Forward references: defined after their caller, called after both.
+    "(define (f x) (g (* x 2) base)) (define (g y b) (+ y b))"
+    "(define base 1) (f 20)",
 };
 
 INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialTest,

@@ -193,7 +193,9 @@ int runSeeds(const std::vector<FuzzConfig> &Configs, uint64_t FirstSeed,
 // heap-verify abort) is an elision soundness bug. Programs lean on the
 // constructs the dataflow pass actually classifies: letrec inits,
 // set! of locals at several depths, named-let loops allocating frames
-// and pairs, global define/set!, and vector mutation.
+// and pairs, global define/set!, and vector mutation. Redefinitions and
+// procedures that read globals, called by later forms, exercise the VM's
+// linked binding cells (DESIGN.md §10.3) under both settings.
 //===----------------------------------------------------------------------===//
 
 /// xorshift64* — deterministic across platforms, seeded per program.
@@ -218,7 +220,7 @@ public:
     std::vector<std::string> Forms;
     const unsigned N = 6 + R.below(6);
     for (unsigned I = 0; I != N; ++I) {
-      const unsigned Kind = R.below(5);
+      const unsigned Kind = R.below(7);
       if (Kind == 0) {
         std::string G = "g" + std::to_string(Globals.size());
         Forms.push_back("(define " + G + " " + num(2) + ")");
@@ -226,6 +228,23 @@ public:
       } else if (Kind == 1 && !Globals.empty()) {
         Forms.push_back("(set! " + Globals[R.below(Globals.size())] +
                         " " + num(2) + ")");
+      } else if (Kind == 2 && !Globals.empty()) {
+        // Redefinition of an existing global: a VM define through a
+        // linked binding cell, seen by every procedure already linked.
+        Forms.push_back("(define " + Globals[R.below(Globals.size())] +
+                        " " + num(2) + ")");
+      } else if (Kind == 3 && !Globals.empty()) {
+        // A procedure that reads globals, called by later forms (num()
+        // draws it at depth 0) after their defines and set!s: its
+        // global operands link once and must track every later store.
+        // Bodies call no procedure, so call fan-out stays linear.
+        std::string P = "p" + std::to_string(Procs.size());
+        std::vector<std::string> Callable;
+        Callable.swap(Procs);
+        std::string G = Globals[R.below(Globals.size())];
+        Forms.push_back("(define (" + P + ") (+ " + G + " " + num(2) + "))");
+        Callable.swap(Procs);
+        Procs.push_back(P);
       } else {
         std::string E = any(3);
         // Scoped mode: run half the expression forms inside a request
@@ -244,6 +263,8 @@ public:
     Forms.push_back("(collect)");
     for (const std::string &G : Globals)
       Forms.push_back(G);
+    for (const std::string &P : Procs)
+      Forms.push_back("(" + P + ")");
     return Forms;
   }
 
@@ -251,6 +272,7 @@ private:
   Rng R;
   bool Scoped;
   std::vector<std::string> Globals;
+  std::vector<std::string> Procs; ///< Zero-argument procedures (numeric).
   std::vector<std::string> NumVars; ///< In-scope numeric locals.
   std::vector<std::string> AnyVars; ///< In-scope locals of any type.
   unsigned NextVar = 0;
@@ -261,13 +283,16 @@ private:
   /// An expression guaranteed to evaluate to a number.
   std::string num(int Depth) {
     if (Depth <= 0) {
-      const unsigned C = R.below(3 + (NumVars.empty() ? 0 : 2) +
-                                 (Globals.empty() ? 0 : 1));
+      const unsigned Locals = NumVars.empty() ? 0 : 2;
+      const unsigned C = R.below(3 + Locals + (Globals.empty() ? 0 : 1) +
+                                 (Procs.empty() ? 0 : 1));
       if (C < 3)
         return lit();
-      if (C < 5 && !NumVars.empty())
+      if (C < 3 + Locals)
         return NumVars[R.below(NumVars.size())];
-      return Globals[R.below(Globals.size())];
+      if (C == 3 + Locals)
+        return Globals[R.below(Globals.size())];
+      return "(" + Procs[R.below(Procs.size())] + ")";
     }
     switch (R.below(9)) {
     case 0:
